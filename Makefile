@@ -57,11 +57,13 @@ wal:
 		-run 'TestParseWALConfig|TestGracefulShutdownDrains|TestIngestStorageUnavailableHTTP|TestWALMetricFamilies' ./cmd/mcserve/
 
 # Multi-tenant serving under the race detector: registry lifecycle,
-# deterministic fair-share scheduling, quota shedding, and the v1 HTTP
-# API (tenant CRUD, error envelope, legacy aliases, labeled metrics).
+# deterministic fair-share scheduling (also a standalone service's
+# one-tenant admission path and its ε/algorithm check), quota shedding,
+# and the v1 HTTP API (tenant CRUD, error envelope, ε validation,
+# labeled metrics).
 tenants:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'TestScheduler|TestTenant|TestValidTenantID' .
+		-run 'TestScheduler|TestTenant|TestValidTenantID|TestServeAdmissionControl|TestServeStandaloneBuildsQueue|TestServeRejectsInvalidBuildRequests' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./cmd/mcserve/
 
 # Degraded-mode serving under the race detector: tenant quarantine and
@@ -83,7 +85,7 @@ trace:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'TestTraceStaleServePropagation|TestTraceWatchdogKillFlightRecorder|TestTraceRestoreReplay|TestTraceWALAppendSpans' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'TestTraceEndToEndHTTP|TestTraceAnomalyRetentionHTTP|TestTraceSlowThresholdHTTP|TestTraceEndpointsDisabled|TestHTTPMetricsAndRuntimeGauges|TestDebugTracesEndpoint|TestRouteLabelTable' ./cmd/mcserve/
+		-run 'TestTraceEndToEndHTTP|TestTraceAnomalyRetentionHTTP|TestTraceSlowThresholdHTTP|TestTraceEndpointsDisabled|TestTraceFiledOnlyUnderKnownTenants|TestHTTPMetricsAndRuntimeGauges|TestDebugTracesEndpoint|TestRouteLabelTable' ./cmd/mcserve/
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'TestTraceStore|TestRequestTrace|TestFlightRecorder|TestFlightBundle|TestHistogramExemplar|TestRegisterRuntimeGauges' ./internal/obs/
 	$(GO) test -bench ServeTraceOverhead -benchtime 5x -run '^$$' .

@@ -1,4 +1,4 @@
-package mincore_test
+package mincore
 
 // TestWriteBenchCacheJSON regenerates the committed cache-benchmark
 // snapshot (BENCH_cache.json). It is gated on MINCORE_BENCH_CACHE_JSON —
@@ -25,7 +25,6 @@ import (
 	"runtime"
 	"testing"
 
-	"mincore"
 	"mincore/internal/data"
 	"mincore/internal/obs"
 )
@@ -38,37 +37,37 @@ func TestWriteBenchCacheJSON(t *testing.T) {
 
 	obs.Enable()
 	ds := data.Normal(2000, 4, 7)
-	pts := make([]mincore.Point, len(ds.Points))
+	pts := make([]Point, len(ds.Points))
 	for i, p := range ds.Points {
-		pts[i] = mincore.Point(p)
+		pts[i] = Point(p)
 	}
 
 	// Cold: the cache is disabled, so every op pays the full certified
 	// build. Warm: the default cache is primed once, so every op is a
 	// hit. Same Coreseter shape, same seed, same ε — the only variable
 	// is the cache.
-	csCold, err := mincore.New(pts, mincore.WithSeed(1), mincore.WithBuildCache(0))
+	csCold, err := New(pts, WithSeed(1), WithBuildCache(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold := minNs(3, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := csCold.Coreset(0.1, mincore.DSMC); err != nil {
+			if _, err := csCold.Coreset(0.1, DSMC); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	csWarm, err := mincore.New(pts, mincore.WithSeed(1))
+	csWarm, err := New(pts, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := csWarm.Coreset(0.1, mincore.DSMC); err != nil {
+	if _, err := csWarm.Coreset(0.1, DSMC); err != nil {
 		t.Fatal(err)
 	}
 	warm := minNs(3, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := csWarm.Coreset(0.1, mincore.DSMC); err != nil {
+			if _, err := csWarm.Coreset(0.1, DSMC); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -84,19 +83,19 @@ func TestWriteBenchCacheJSON(t *testing.T) {
 	// feasible probe and runs zero.
 	builds := obs.Default.Counter("mincore_builds_total",
 		"Completed certification pipelines by outcome.", obs.Labels{"outcome": "certified"})
-	countBuilds := func(cs *mincore.Coreseter) uint64 {
+	countBuilds := func(cs *Coreseter) uint64 {
 		before := builds.Value()
-		if _, err := cs.FixedSize(40, mincore.DSMC); err != nil {
+		if _, err := cs.FixedSize(40, DSMC); err != nil {
 			t.Fatal(err)
 		}
 		return builds.Value() - before
 	}
-	csFixedCold, err := mincore.New(pts, mincore.WithSeed(1), mincore.WithBuildCache(0))
+	csFixedCold, err := New(pts, WithSeed(1), WithBuildCache(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldBuilds := countBuilds(csFixedCold)
-	csFixedWarm, err := mincore.New(pts, mincore.WithSeed(1))
+	csFixedWarm, err := New(pts, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}

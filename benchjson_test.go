@@ -1,4 +1,4 @@
-package mincore_test
+package mincore
 
 // TestWriteBenchJSON regenerates the committed benchmark snapshot
 // (BENCH_observability.json). It is gated on MINCORE_BENCH_JSON — set it
@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"mincore"
 	"mincore/internal/core"
 	"mincore/internal/data"
 	"mincore/internal/obs"
@@ -63,9 +62,9 @@ func TestWriteBenchJSON(t *testing.T) {
 
 	obs.Enable() // collect the full metric inventory alongside the timings
 	ds := data.Normal(2000, 4, 7)
-	pts := make([]mincore.Point, len(ds.Points))
+	pts := make([]Point, len(ds.Points))
 	for i, p := range ds.Points {
-		pts[i] = mincore.Point(p)
+		pts[i] = Point(p)
 	}
 
 	entries := map[string]benchEntry{}
@@ -97,18 +96,18 @@ func TestWriteBenchJSON(t *testing.T) {
 	entries["coreset_auto/eps=0.1"] = toEntry(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			csAuto, err := mincore.New(pts, mincore.WithSeed(1))
+			csAuto, err := New(pts, WithSeed(1))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := csAuto.Coreset(0.1, mincore.Auto); err != nil {
+			if _, err := csAuto.Coreset(0.1, Auto); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}))
 
 	// Streaming hot paths.
-	ss := mincore.NewStreamSummary(4, 0.1, 0.25, 7)
+	ss := NewStreamSummary(4, 0.1, 0.25, 7)
 	entries["stream_feed"] = toEntry(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -121,11 +120,11 @@ func TestWriteBenchJSON(t *testing.T) {
 	entries["stream_coreset_build"] = toEntry(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			scs, err := mincore.New(sketch, mincore.WithSeed(7))
+			scs, err := New(sketch, WithSeed(7))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := scs.Coreset(0.15, mincore.Auto); err != nil {
+			if _, err := scs.Coreset(0.15, Auto); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -165,7 +164,7 @@ func TestWriteBenchJSON(t *testing.T) {
 	// nominal; as with the DG gate, the hard assertion is a generous
 	// noise-tolerant bound and the committed number is min-of-3.
 	store := obs.NewTraceStore(obs.StoreOptions{Retain: 64})
-	svc, err := mincore.NewIngestService(mincore.ServeOptions{
+	svc, err := NewIngestService(ServeOptions{
 		Dim: 4, Eps: 0.1, Seed: 7, CheckpointInterval: -1, BuildCache: -1,
 	})
 	if err != nil {
@@ -187,7 +186,7 @@ func TestWriteBenchJSON(t *testing.T) {
 	}
 	traceOff := minNs(3, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := svc.Coreset(context.Background(), 0.2, mincore.Auto); err != nil {
+			if _, err := svc.Coreset(context.Background(), 0.2, Auto); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -196,7 +195,7 @@ func TestWriteBenchJSON(t *testing.T) {
 		for i := 0; i < b.N; i++ {
 			rt := obs.StartRequest("GET /v1/tenants/{id}/coreset", "")
 			ctx := obs.WithRequest(context.Background(), rt)
-			if _, err := svc.Coreset(ctx, 0.2, mincore.Auto); err != nil {
+			if _, err := svc.Coreset(ctx, 0.2, Auto); err != nil {
 				b.Fatal(err)
 			}
 			rt.Root.End()

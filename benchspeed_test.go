@@ -1,4 +1,4 @@
-package mincore_test
+package mincore
 
 // TestWriteBenchSpeed regenerates the committed raw-speed snapshot
 // (BENCH_speed.json). It is gated on MINCORE_BENCH_SPEED — set it to the
@@ -13,7 +13,8 @@ package mincore_test
 //     problem (ns/op and allocs/op, min-of-3 against 1-CPU scheduler
 //     noise) — the committed speedup and allocation-diet ratios;
 //   - cold certified auto build end to end (New + Coreset), prefilter
-//     on vs off;
+//     on vs off (off through the unexported noPrefilter hook, which is
+//     why this file sits in package mincore);
 //   - the prefilter ratio n/ξ — how much smaller the work instance is.
 
 import (
@@ -22,7 +23,6 @@ import (
 	"runtime"
 	"testing"
 
-	"mincore"
 	"mincore/internal/core"
 	"mincore/internal/data"
 )
@@ -94,20 +94,19 @@ func TestWriteBenchSpeed(t *testing.T) {
 	// Cold certified auto build end to end: a fresh Coreseter every
 	// iteration, so preprocessing, the DG, certification, and repair all
 	// run cold. Prefilter on vs off isolates the work-instance win.
-	pts := make([]mincore.Point, len(ds.Points))
+	pts := make([]Point, len(ds.Points))
 	for i, p := range ds.Points {
-		pts[i] = mincore.Point(p)
+		pts[i] = Point(p)
 	}
 	coldBuild := func(pf bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cs, err := mincore.New(pts, mincore.WithSeed(1), mincore.WithWorkers(1),
-					mincore.WithPrefilter(pf))
+				cs, err := New(pts, WithSeed(1), WithWorkers(1), withHooks(!pf, false))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := cs.Coreset(0.1, mincore.Auto); err != nil {
+				if _, err := cs.Coreset(0.1, Auto); err != nil {
 					b.Fatal(err)
 				}
 			}

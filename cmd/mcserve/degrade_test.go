@@ -189,8 +189,6 @@ func TestRequestBodyLimits(t *testing.T) {
 			map[string]any{"points": ringPoints(32, 1)}, http.StatusAccepted, ""},
 		{"ingest too large", "POST", "/v1/tenants/default/ingest",
 			map[string]any{"points": bigBatch}, http.StatusRequestEntityTooLarge, "request_too_large"},
-		{"legacy ingest too large", "POST", "/ingest",
-			map[string]any{"points": bigBatch}, http.StatusRequestEntityTooLarge, "request_too_large"},
 		{"create within limit", "POST", "/v1/tenants",
 			map[string]any{"id": "roomy"}, http.StatusCreated, ""},
 		{"create too large", "POST", "/v1/tenants",
@@ -209,9 +207,10 @@ func TestRequestBodyLimits(t *testing.T) {
 	}
 }
 
-// TestDegradedMetricFamilies: the degraded-mode counters are registered
-// at init, so every scrape exposes the families — a dashboard can alert
-// on them before the first incident.
+// TestDegradedMetricFamilies: every scrape exposes the degraded-mode
+// families before the first incident — the fleet-wide ones registered at
+// init, the per-tenant stale-serve counter through the default tenant's
+// series — so a dashboard can alert on them.
 func TestDegradedMetricFamilies(t *testing.T) {
 	dir := t.TempDir()
 	corruptTenantDir(t, dir, "broken")
@@ -231,7 +230,7 @@ func TestDegradedMetricFamilies(t *testing.T) {
 	for _, fam := range []string{
 		"mincore_tenants_quarantined",
 		"mincore_build_watchdog_kills_total",
-		"mincore_stale_serves_total",
+		`mincore_stale_serves_total{tenant="default"}`,
 	} {
 		if _, ok := samples[fam]; !ok {
 			t.Errorf("scrape missing %s: %v", fam, samples)

@@ -73,11 +73,8 @@
 // Warning header, never silently. -build-watchdog arms a hard per-build
 // slot budget so a wedged build cannot pin fleet capacity.
 //
-// Legacy unversioned routes (/ingest, /coreset, /summary, /stats,
-// /checkpoint, /healthz) remain as aliases onto the "default" tenant —
-// success responses are byte-identical to the single-tenant server —
-// but carry a "Deprecation: true" header and log a one-time warning;
-// migrate to /v1/tenants/default/....
+// The server always hosts a "default" tenant (created at startup unless
+// restored), so single-stream deployments use /v1/tenants/default/....
 package main
 
 import (
@@ -88,11 +85,12 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -100,7 +98,7 @@ import (
 	"mincore/internal/obs"
 )
 
-// defaultTenant is the tenant the legacy unversioned routes alias onto.
+// defaultTenant is the tenant every server hosts from startup.
 const defaultTenant = "default"
 
 func main() {
@@ -110,7 +108,7 @@ func main() {
 	alpha := flag.Float64("alpha", 0.25, "assumed stream fatness α for sketch sizing")
 	seed := flag.Int64("seed", 1, "default tenant seed (direction net and builds)")
 	snapshotDir := flag.String("snapshot-dir", "", "root directory for per-tenant snapshots and manifests (empty = no durability)")
-	snapshotPath := flag.String("snapshot", "", "legacy single-file snapshot path for the default tenant (migration aid)")
+	snapshotPath := flag.String("snapshot", "", "single-file snapshot path for the default tenant (migration aid)")
 	ckptEvery := flag.Duration("checkpoint-every", 10*time.Second, "base interval between automatic checkpoints")
 	workers := flag.Int("ingest-workers", 2, "ingest worker goroutines per tenant (one summary shard each)")
 	queue := flag.Int("queue", 256, "per-tenant ingest queue capacity in batches (full queue sheds with 503)")
@@ -184,9 +182,9 @@ func main() {
 	}
 	log := obs.Component(logger, "mcserve")
 
-	// The default tenant backs the legacy unversioned routes. A restart
-	// with -snapshot-dir restores it from its manifest; otherwise it is
-	// created fresh, honoring the legacy -snapshot file override.
+	// A restart with -snapshot-dir restores the default tenant from its
+	// manifest; otherwise it is created fresh, honoring the -snapshot file
+	// override.
 	if _, err := reg.Tenant(defaultTenant); errors.Is(err, mincore.ErrTenantNotFound) {
 		_, err = reg.CreateTenant(mincore.TenantConfig{
 			ID:                defaultTenant,
@@ -298,16 +296,12 @@ func closeRegistry(ctx context.Context, reg *mincore.TenantRegistry) error {
 	}
 }
 
-// apiServer binds the route handlers to a registry. Tenant-scoped
-// handlers are written once and mounted twice: under /v1/tenants/{id}
-// and — via legacyAlias — on the deprecated unversioned paths against
-// the default tenant.
+// apiServer binds the route handlers to a registry.
 type apiServer struct {
-	reg        *mincore.TenantRegistry
-	log        *slog.Logger
-	maxBody    int64           // largest accepted ingest body, in bytes
-	traces     *obs.TraceStore // retained request traces; nil = tracing off
-	deprecated sync.Once
+	reg     *mincore.TenantRegistry
+	log     *slog.Logger
+	maxBody int64           // largest accepted ingest body, in bytes
+	traces  *obs.TraceStore // retained request traces; nil = tracing off
 }
 
 // createBodyLimit bounds control-plane request bodies (tenant creation):
@@ -342,13 +336,6 @@ func newMux(reg *mincore.TenantRegistry, log *slog.Logger, maxBody int64, traces
 	mux.HandleFunc("GET /v1/tenants/{id}/traces", api.tenantTraces)
 	mux.HandleFunc("GET /v1/stats", api.registryStats)
 
-	// Legacy unversioned aliases onto the default tenant (deprecated).
-	mux.HandleFunc("POST /ingest", api.legacyAlias(api.ingest))
-	mux.HandleFunc("GET /coreset", api.legacyAlias(api.coreset))
-	mux.HandleFunc("GET /summary", api.legacyAlias(api.summary))
-	mux.HandleFunc("GET /stats", api.legacyAlias(api.legacyStats))
-	mux.HandleFunc("POST /checkpoint", api.legacyAlias(api.snapshot))
-
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -371,40 +358,21 @@ func newMux(reg *mincore.TenantRegistry, log *slog.Logger, maxBody int64, traces
 	return withTracing(mux, traces)
 }
 
-// tenantHandler is a handler scoped to one resolved tenant. legacy is
-// true when the request arrived on a deprecated unversioned path.
-type tenantHandler func(w http.ResponseWriter, r *http.Request, t *mincore.Tenant, legacy bool)
+// tenantHandler is a handler scoped to one resolved tenant.
+type tenantHandler func(w http.ResponseWriter, r *http.Request, t *mincore.Tenant)
 
 // tenantH resolves {id} and dispatches, mapping a missing tenant to
 // the 404 envelope.
 func (a *apiServer) tenantH(h tenantHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		t, err := a.reg.Tenant(r.PathValue("id"))
+		id := r.PathValue("id")
+		t, err := a.reg.Tenant(id)
+		fileTrace(r, id, err)
 		if err != nil {
 			httpError(w, err)
 			return
 		}
-		h(w, r, t, false)
-	}
-}
-
-// legacyAlias mounts a tenant handler on a deprecated unversioned path
-// against the default tenant, stamping the Deprecation header and
-// logging a one-time migration warning.
-func (a *apiServer) legacyAlias(h tenantHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		a.deprecated.Do(func() {
-			a.log.Warn("legacy unversioned route used; migrate to /v1/tenants/default/...",
-				slog.String("path", r.URL.Path))
-		})
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/tenants/`+defaultTenant+`>; rel="successor-version"`)
-		t, err := a.reg.Tenant(defaultTenant)
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		h(w, r, t, true)
+		h(w, r, t)
 	}
 }
 
@@ -469,6 +437,7 @@ func (a *apiServer) listTenants(w http.ResponseWriter, r *http.Request) {
 func (a *apiServer) getTenant(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	t, err := a.reg.Tenant(id)
+	fileTrace(r, id, err)
 	if err != nil {
 		// A quarantined tenant is inspectable: the resource exists, it is
 		// just not serving. 200 with health fields beats a bare 503 here —
@@ -498,6 +467,8 @@ func (a *apiServer) getTenant(w http.ResponseWriter, r *http.Request) {
 // process restart.
 func (a *apiServer) recoverTenant(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	_, err := a.reg.Tenant(id)
+	fileTrace(r, id, err)
 	t, step, err := a.reg.RecoverTenant(id)
 	if err != nil {
 		httpError(w, err)
@@ -536,7 +507,9 @@ func (a *apiServer) readyz(w http.ResponseWriter, r *http.Request) {
 
 func (a *apiServer) deleteTenant(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if err := a.reg.DeleteTenant(id); err != nil {
+	err := a.reg.DeleteTenant(id)
+	fileTrace(r, id, err)
+	if err != nil {
 		httpError(w, err)
 		return
 	}
@@ -553,7 +526,7 @@ func tenantInfoJSON(t *mincore.Tenant) map[string]any {
 	}
 }
 
-func (a *apiServer) ingest(w http.ResponseWriter, r *http.Request, t *mincore.Tenant, legacy bool) {
+func (a *apiServer) ingest(w http.ResponseWriter, r *http.Request, t *mincore.Tenant) {
 	var req struct {
 		Points []mincore.Point `json:"points"`
 	}
@@ -567,15 +540,15 @@ func (a *apiServer) ingest(w http.ResponseWriter, r *http.Request, t *mincore.Te
 	writeJSON(w, http.StatusAccepted, map[string]int{"ingested": len(req.Points)})
 }
 
-func (a *apiServer) coreset(w http.ResponseWriter, r *http.Request, t *mincore.Tenant, legacy bool) {
-	epsQ := 0.0 // 0 = the tenant's default ε
+func (a *apiServer) coreset(w http.ResponseWriter, r *http.Request, t *mincore.Tenant) {
+	epsQ := 0.0 // absent or ≤ 0: the tenant's default ε
 	if v := r.URL.Query().Get("eps"); v != "" {
-		if _, err := fmt.Sscanf(v, "%g", &epsQ); err != nil {
-			httpErrorCode(w, http.StatusBadRequest, "invalid_argument", fmt.Sprintf("bad eps %q", v))
+		var err error
+		epsQ, err = strconv.ParseFloat(v, 64)
+		if err != nil || math.IsNaN(epsQ) || math.IsInf(epsQ, 0) || epsQ >= 1 {
+			httpErrorCode(w, http.StatusBadRequest, "invalid_argument", fmt.Sprintf("bad eps %q: want a number below 1", v))
 			return
 		}
-	} else if legacy {
-		epsQ = 0.05 // the historical unversioned default
 	}
 	algo := mincore.Auto
 	if v := r.URL.Query().Get("algo"); v != "" {
@@ -633,7 +606,7 @@ func (a *apiServer) coreset(w http.ResponseWriter, r *http.Request, t *mincore.T
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (a *apiServer) summary(w http.ResponseWriter, r *http.Request, t *mincore.Tenant, legacy bool) {
+func (a *apiServer) summary(w http.ResponseWriter, r *http.Request, t *mincore.Tenant) {
 	ss, err := t.Service().Summary()
 	if err != nil {
 		httpError(w, err)
@@ -644,32 +617,28 @@ func (a *apiServer) summary(w http.ResponseWriter, r *http.Request, t *mincore.T
 	})
 }
 
-// statsPayload renders one tenant's counters. The legacy shape omits
-// the keys added with multi-tenancy so the unversioned /stats response
-// stays byte-identical to the single-tenant server.
-func statsPayload(t *mincore.Tenant, legacy bool) map[string]any {
+// statsPayload renders one tenant's counters.
+func statsPayload(t *mincore.Tenant) map[string]any {
 	st := t.Stats()
 	resp := map[string]any{
+		"tenant":   st.Tenant,
 		"ingested": st.Ingested, "rejected": st.Rejected, "invalid": st.Invalid,
+		"quota_shed":    st.QuotaShed,
 		"worker_panics": st.WorkerPanics,
 		"builds":        st.Builds, "builds_shed": st.BuildsShed,
 		"cache_hits":            st.CacheHits,
 		"cache_misses":          st.CacheMisses,
+		"stale_served":          st.StaleServed,
+		"degraded":              st.Degraded,
 		"restored_points":       st.RestoredPoints,
+		"replayed_points":       st.ReplayedPoints,
 		"stream_n":              t.Service().StreamN(),
 		"checkpoint_generation": st.CheckpointGeneration,
 		"checkpoint_points":     st.CheckpointPoints,
 		"checkpoint_failures":   st.CheckpointFailures,
-	}
-	if !legacy {
-		resp["tenant"] = st.Tenant
-		resp["quota_shed"] = st.QuotaShed
-		resp["stale_served"] = st.StaleServed
-		resp["degraded"] = st.Degraded
-		resp["replayed_points"] = st.ReplayedPoints
-		resp["wal_segments"] = st.WALSegments
-		resp["wal_bytes"] = st.WALBytes
-		resp["storage_degraded"] = st.StorageDegraded
+		"wal_segments":          st.WALSegments,
+		"wal_bytes":             st.WALBytes,
+		"storage_degraded":      st.StorageDegraded,
 	}
 	if !st.LastCheckpoint.IsZero() {
 		resp["last_checkpoint"] = st.LastCheckpoint.Format(time.RFC3339Nano)
@@ -681,17 +650,11 @@ func statsPayload(t *mincore.Tenant, legacy bool) map[string]any {
 	return resp
 }
 
-func (a *apiServer) tenantStats(w http.ResponseWriter, r *http.Request, t *mincore.Tenant, legacy bool) {
-	writeJSON(w, http.StatusOK, statsPayload(t, false))
+func (a *apiServer) tenantStats(w http.ResponseWriter, r *http.Request, t *mincore.Tenant) {
+	writeJSON(w, http.StatusOK, statsPayload(t))
 }
 
-// legacyStats is the unversioned /stats alias: the PR-5 response shape,
-// exactly.
-func (a *apiServer) legacyStats(w http.ResponseWriter, r *http.Request, t *mincore.Tenant, legacy bool) {
-	writeJSON(w, http.StatusOK, statsPayload(t, true))
-}
-
-func (a *apiServer) snapshot(w http.ResponseWriter, r *http.Request, t *mincore.Tenant, legacy bool) {
+func (a *apiServer) snapshot(w http.ResponseWriter, r *http.Request, t *mincore.Tenant) {
 	if err := t.CheckpointCtx(r.Context()); err != nil {
 		httpError(w, err)
 		return
@@ -709,7 +672,7 @@ func (a *apiServer) registryStats(w http.ResponseWriter, r *http.Request) {
 	tenants := map[string]any{}
 	for _, ts := range st.Tenants {
 		if t, err := a.reg.Tenant(ts.Tenant); err == nil {
-			tenants[ts.Tenant] = statsPayload(t, false)
+			tenants[ts.Tenant] = statsPayload(t)
 		}
 	}
 	health := a.reg.Health()

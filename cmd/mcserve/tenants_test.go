@@ -199,54 +199,53 @@ func TestTenantErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesAliasDefaultTenant: the unversioned routes serve the
-// default tenant, advertise their deprecation, and keep the
-// single-tenant response shapes (no multi-tenant keys).
-func TestLegacyRoutesAliasDefaultTenant(t *testing.T) {
-	ts, _ := newTestServer(t, mincore.RegistryOptions{Dim: 2, Eps: 0.05, Seed: 5})
-
-	feedPoints(t, ts, "/ingest", ringPoints(40, 2)) // legacy ingest path
+// TestCoresetRejectsBadEps is the front door's ε check: a non-finite
+// value, ε ≥ 1, trailing garbage, or an unknown algorithm answers 400
+// invalid_argument before any build slot is taken, while an absent or
+// non-positive ε still selects the tenant's default.
+func TestCoresetRejectsBadEps(t *testing.T) {
+	ts, _ := newTestServer(t, mincore.RegistryOptions{Dim: 2, Eps: 0.2, Seed: 5})
+	feedPoints(t, ts, "/v1/tenants/default/ingest", ringPoints(40, 1))
 	drainHTTP(t, ts, defaultTenant, 40)
 
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatalf("GET /stats: %v", err)
+	builds := func() float64 {
+		_, st := doJSON(t, ts, "GET", "/v1/tenants/default/stats", nil)
+		return st["builds"].(float64)
 	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy route missing Deprecation header")
+	for _, q := range []string{
+		"eps=NaN", "eps=nan", "eps=Inf", "eps=-Inf", "eps=1", "eps=1.5",
+		"eps=0.1abc", "eps=1e400", "eps=0.1&algo=bogus",
+	} {
+		resp, body := doJSON(t, ts, "GET", "/v1/tenants/default/coreset?"+q, nil)
+		wantEnvelope(t, resp, body, http.StatusBadRequest, "invalid_argument")
 	}
-	if link := resp.Header.Get("Link"); link != `</v1/tenants/default>; rel="successor-version"` {
-		t.Errorf("legacy Link header = %q", link)
+	if n := builds(); n != 0 {
+		t.Fatalf("rejected requests counted %v builds, want 0", n)
 	}
-	var legacy map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
-		t.Fatalf("decode legacy stats: %v", err)
-	}
-	resp.Body.Close()
-	for _, key := range []string{"tenant", "quota_shed"} {
-		if _, ok := legacy[key]; ok {
-			t.Errorf("legacy /stats leaks multi-tenant key %q", key)
+	for _, q := range []string{"", "eps=0", "eps=-0.5"} {
+		resp, body := doJSON(t, ts, "GET", "/v1/tenants/default/coreset?"+q, nil)
+		if resp.StatusCode != http.StatusOK || body["eps"] != 0.2 {
+			t.Errorf("?%s: status %d eps %v, want 200 at the tenant default 0.2", q, resp.StatusCode, body["eps"])
 		}
 	}
+}
 
-	resp2, v1 := doJSON(t, ts, "GET", "/v1/tenants/default/stats", nil)
-	if resp2.Header.Get("Deprecation") != "" {
-		t.Error("v1 route carries a Deprecation header")
-	}
-	if v1["tenant"] != "default" {
-		t.Errorf("v1 stats tenant = %v, want default", v1["tenant"])
-	}
-	if _, ok := v1["quota_shed"]; !ok {
-		t.Error("v1 stats missing quota_shed")
-	}
-	if legacy["ingested"] != v1["ingested"] {
-		t.Errorf("legacy and v1 stats disagree: %v vs %v", legacy["ingested"], v1["ingested"])
-	}
-
-	// Legacy /coreset keeps the historical ε default of 0.05.
-	_, core := doJSON(t, ts, "GET", "/coreset", nil)
-	if core["eps"] != 0.05 {
-		t.Errorf("legacy /coreset eps = %v, want 0.05", core["eps"])
+// TestUnversionedRoutesGone: the pre-/v1 aliases are not routes.
+func TestUnversionedRoutesGone(t *testing.T) {
+	ts, _ := newTestServer(t, mincore.RegistryOptions{Dim: 2, Eps: 0.1, Seed: 5})
+	for _, rt := range []struct{ method, path string }{
+		{"POST", "/ingest"}, {"GET", "/coreset"}, {"GET", "/summary"},
+		{"GET", "/stats"}, {"POST", "/checkpoint"},
+	} {
+		req, _ := http.NewRequest(rt.method, ts.URL+rt.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", rt.method, rt.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", rt.method, rt.path, resp.StatusCode)
+		}
 	}
 }
 

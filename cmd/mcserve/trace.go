@@ -10,12 +10,14 @@
 package main
 
 import (
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"mincore"
 	"mincore/internal/obs"
 )
 
@@ -60,7 +62,6 @@ func httpDurationHist(route string) *obs.Histogram {
 func routeLabel(method, path string) string {
 	switch path {
 	case "/v1/tenants", "/v1/stats",
-		"/ingest", "/coreset", "/summary", "/stats", "/checkpoint",
 		"/healthz", "/readyz", "/metrics", "/debug/vars", "/debug/traces":
 		return method + " " + path
 	}
@@ -80,20 +81,15 @@ func routeLabel(method, path string) string {
 	return "other"
 }
 
-// tenantFromPath extracts the tenant a request addresses: the {id}
-// path segment on versioned routes, the default tenant on the legacy
-// aliases, "" for untenanted routes (tenant creation, fleet stats,
-// probes).
-func tenantFromPath(path string) string {
-	if rest, ok := strings.CutPrefix(path, "/v1/tenants/"); ok {
-		id, _, _ := strings.Cut(rest, "/")
-		return id
+// fileTrace files the request's trace under tenant id once the registry
+// knows the id: err is the registry's answer for it, nil for a live
+// tenant or ErrTenantQuarantined for a quarantined one. Everything else
+// stays untenanted, so requests naming unknown ids cannot grow the trace
+// store by one ring pair each.
+func fileTrace(r *http.Request, id string, err error) {
+	if err == nil || errors.Is(err, mincore.ErrTenantQuarantined) {
+		obs.RequestFrom(r.Context()).SetTenant(id)
 	}
-	switch path {
-	case "/ingest", "/coreset", "/summary", "/stats", "/checkpoint":
-		return defaultTenant
-	}
-	return ""
 }
 
 // skipTrace marks the routes whose requests are observed (metrics) but
@@ -170,7 +166,6 @@ func withTracing(next http.Handler, store *obs.TraceStore) http.Handler {
 		traced := store != nil && !skipTrace(r.URL.Path)
 		if traced {
 			rt = obs.StartRequest(route, sanitizeTraceID(r.Header.Get("X-Request-Id")))
-			rt.SetTenant(tenantFromPath(r.URL.Path))
 			w.Header().Set("X-Request-Id", rt.ID)
 			r = r.WithContext(obs.WithRequest(r.Context(), rt))
 		}
@@ -209,8 +204,9 @@ func withTracing(next http.Handler, store *obs.TraceStore) http.Handler {
 // tenantTraces renders GET /v1/tenants/{id}/traces: the retained
 // traces for one tenant, newest-first. Deliberately no existence check
 // against the registry — trace records outlive tenant deletion, and a
-// post-mortem usually starts after the tenant is gone. ?n= bounds the
-// response; ?anomalies=1 restricts it to the always-retained anomaly
+// post-mortem usually starts after the tenant is gone; only this
+// request's own trace needs a known id to be filed under it. ?n= bounds
+// the response; ?anomalies=1 restricts it to the always-retained anomaly
 // ring.
 func (a *apiServer) tenantTraces(w http.ResponseWriter, r *http.Request) {
 	if a.traces == nil {
@@ -219,6 +215,8 @@ func (a *apiServer) tenantTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
+	_, err := a.reg.Tenant(id)
+	fileTrace(r, id, err)
 	max := 0
 	if v := r.URL.Query().Get("n"); v != "" {
 		n, err := strconv.Atoi(v)

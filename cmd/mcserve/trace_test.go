@@ -159,6 +159,7 @@ func TestTraceAnomalyRetentionHTTP(t *testing.T) {
 		Dim: 2, Eps: 0.1, Seed: 3, TraceStore: store,
 	})
 	feedPoints(t, ts, "/v1/tenants/default/ingest", [][]float64{{0.1, 0.2}, {0.3, 0.4}, {0.9, 0.5}})
+	drainHTTP(t, ts, defaultTenant, 3)
 
 	req, _ := http.NewRequest("GET", ts.URL+"/v1/tenants/default/coreset?eps=0.2&timeout=1ns", nil)
 	req.Header.Set("X-Request-Id", "doomed-1")
@@ -328,6 +329,56 @@ func TestHTTPMetricsAndRuntimeGauges(t *testing.T) {
 	}
 }
 
+// TestTraceFiledOnlyUnderKnownTenants: a request naming an id the
+// registry does not know is traced untenanted, so distinct unknown ids
+// cannot each grow the store by a pair of rings; a quarantined tenant's
+// 503 is still filed under that tenant.
+func TestTraceFiledOnlyUnderKnownTenants(t *testing.T) {
+	dir := t.TempDir()
+	corruptTenantDir(t, dir, "sick")
+	store := obs.NewTraceStore(obs.StoreOptions{Retain: 4})
+	ts, _ := newTestServer(t, mincore.RegistryOptions{
+		Dim: 2, Eps: 0.1, Seed: 3, SnapshotDir: dir, TraceStore: store,
+	})
+
+	ghosts := []string{"ghost-1", "ghost-2", "ghost-3"}
+	for _, id := range ghosts {
+		for _, rq := range []struct{ method, path string }{
+			{"GET", "/v1/tenants/" + id + "/stats"},
+			{"GET", "/v1/tenants/" + id},
+			{"DELETE", "/v1/tenants/" + id},
+			{"POST", "/v1/tenants/" + id + "/recover"},
+		} {
+			if resp, _ := doJSON(t, ts, rq.method, rq.path, nil); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("%s %s: status %d, want 404", rq.method, rq.path, resp.StatusCode)
+			}
+		}
+		getTraces(t, ts, "/v1/tenants/"+id+"/traces")
+	}
+	for _, id := range ghosts {
+		if recs := store.Tenant(id, 0); len(recs) != 0 {
+			t.Errorf("unknown tenant %s has %d retained traces, want 0", id, len(recs))
+		}
+	}
+	for _, id := range store.Tenants() {
+		if strings.HasPrefix(id, "ghost-") {
+			t.Errorf("store keeps rings for unknown tenant %q", id)
+		}
+	}
+
+	resp, body := doJSON(t, ts, "GET", "/v1/tenants/sick/coreset?eps=0.2", nil)
+	wantEnvelope(t, resp, body, http.StatusServiceUnavailable, "tenant_quarantined")
+	found := false
+	for _, r := range store.Tenant("sick", 0) {
+		if r.Status == http.StatusServiceUnavailable && r.Route == "GET /v1/tenants/{id}/coreset" {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("quarantined tenant's 503 not filed under it: %+v", store.Tenant("sick", 0))
+	}
+}
+
 // TestDebugTracesEndpoint: the fleet-wide view returns the store's
 // admission counters plus every tenant's retained traces.
 func TestDebugTracesEndpoint(t *testing.T) {
@@ -370,7 +421,7 @@ func TestRouteLabelTable(t *testing.T) {
 		{"GET", "/v1/tenants/acme/traces", "GET /v1/tenants/{id}/traces"},
 		{"POST", "/v1/tenants", "POST /v1/tenants"},
 		{"GET", "/v1/stats", "GET /v1/stats"},
-		{"GET", "/coreset", "GET /coreset"},
+		{"GET", "/coreset", "other"},
 		{"GET", "/debug/pprof/heap", "GET /debug/pprof/*"},
 		{"GET", "/v1/tenants/acme/nonsense", "other"},
 		{"GET", "/totally/unknown", "other"},
@@ -380,15 +431,6 @@ func TestRouteLabelTable(t *testing.T) {
 		if got := routeLabel(c.method, c.path); got != c.want {
 			t.Errorf("routeLabel(%s, %s) = %q, want %q", c.method, c.path, got, c.want)
 		}
-	}
-	if got := tenantFromPath("/v1/tenants/acme/ingest"); got != "acme" {
-		t.Errorf("tenantFromPath = %q", got)
-	}
-	if got := tenantFromPath("/ingest"); got != defaultTenant {
-		t.Errorf("legacy tenantFromPath = %q", got)
-	}
-	if got := tenantFromPath("/healthz"); got != "" {
-		t.Errorf("untenanted tenantFromPath = %q", got)
 	}
 	for in, want := range map[string]string{
 		"ok-id_1.2": "ok-id_1.2",

@@ -252,6 +252,9 @@ func TestWALMetricFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParsePrometheus: %v", err)
 	}
+	// Each family is asserted through the tenant's series, which also
+	// carry the traffic.
+	lbl := fmt.Sprintf(`{tenant=%q}`, defaultTenant)
 	for _, fam := range []string{
 		"mincore_wal_appends_total",
 		"mincore_wal_appended_points_total",
@@ -262,12 +265,10 @@ func TestWALMetricFamilies(t *testing.T) {
 		"mincore_wal_segments",
 		"mincore_wal_bytes",
 	} {
-		if _, ok := samples[fam]; !ok {
-			t.Errorf("scrape missing %s", fam)
+		if _, ok := samples[fam+lbl]; !ok {
+			t.Errorf("scrape missing %s%s", fam, lbl)
 		}
 	}
-	// The tenant-labeled series carry the traffic.
-	lbl := fmt.Sprintf(`{tenant=%q}`, defaultTenant)
 	if v := samples["mincore_wal_appends_total"+lbl]; v < 1 {
 		t.Errorf("mincore_wal_appends_total%s = %v, want >= 1", lbl, v)
 	}

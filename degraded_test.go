@@ -117,10 +117,12 @@ func TestSchedulerWatchdogSweepsOnAcquire(t *testing.T) {
 // TestStaleFallbackOnOverload: with a StaleServePolicy, a request shed by
 // admission control is answered from the retained last-good certified
 // build — explicitly marked stale with full provenance — instead of
-// failing with ErrOverloaded.
+// failing with ErrOverloaded. Overload is one hung build holding the
+// only slot plus one parked request filling the one-deep queue.
 func TestStaleFallbackOnOverload(t *testing.T) {
+	sched := newBuildScheduler(1, 1, 0, nil)
 	svc := newTestService(t, ServeOptions{
-		Seed: 3, MaxInflightBuilds: 1, BuildCache: -1,
+		Seed: 3, BuildCache: -1, sched: sched,
 		StaleServe: WithStaleServe(0, 0), // unbounded
 	})
 	defer svc.Kill()
@@ -154,6 +156,7 @@ func TestStaleFallbackOnOverload(t *testing.T) {
 		done <- err
 	}()
 	<-entered
+	unpark := parkBuildRequest(t, sched, "")
 
 	sq, err := svc.Coreset(context.Background(), 0.1, Auto)
 	if err != nil {
@@ -182,6 +185,7 @@ func TestStaleFallbackOnOverload(t *testing.T) {
 		t.Errorf("stale coreset size %d != retained %d", len(sq.Points), len(q.Points))
 	}
 
+	unpark()
 	close(unblock)
 	if err := <-done; err != nil {
 		t.Fatalf("hung build after unblock: %v", err)
@@ -194,8 +198,9 @@ func TestStaleFallbackOnOverload(t *testing.T) {
 func TestStaleFallbackBounds(t *testing.T) {
 	t.Run("max_age", func(t *testing.T) {
 		clk := &fakeClock{t: time.Unix(3000, 0)}
+		sched := newBuildScheduler(1, 1, 0, nil)
 		svc := newTestService(t, ServeOptions{
-			Seed: 5, MaxInflightBuilds: 1, BuildCache: -1,
+			Seed: 5, BuildCache: -1, sched: sched,
 			StaleServe: WithStaleServe(time.Minute, 0),
 			clock:      clk.now,
 		})
@@ -219,6 +224,7 @@ func TestStaleFallbackBounds(t *testing.T) {
 		}()
 		<-entered
 		defer func() { close(unblock); <-done }()
+		defer parkBuildRequest(t, sched, "")()
 
 		clk.advance(30 * time.Second) // within MaxAge: stale serves
 		sq, err := svc.Coreset(context.Background(), 0.1, Auto)
@@ -239,8 +245,9 @@ func TestStaleFallbackBounds(t *testing.T) {
 	})
 
 	t.Run("max_points_behind", func(t *testing.T) {
+		sched := newBuildScheduler(1, 1, 0, nil)
 		svc := newTestService(t, ServeOptions{
-			Seed: 7, MaxInflightBuilds: 1, BuildCache: -1,
+			Seed: 7, BuildCache: -1, sched: sched,
 			StaleServe: WithStaleServe(0, 50),
 		})
 		defer svc.Kill()
@@ -267,6 +274,7 @@ func TestStaleFallbackBounds(t *testing.T) {
 		}()
 		<-entered
 		defer func() { close(unblock); <-done }()
+		defer parkBuildRequest(t, sched, "")()
 
 		if _, err := svc.Coreset(context.Background(), 0.1, Auto); !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("past MaxPointsBehind: err = %v, want ErrOverloaded", err)

@@ -109,22 +109,18 @@ type Options struct {
 	// measured loss exceeds ε.
 	SkipCertify bool
 	// BuildCache bounds the memoized build cache: successful results are
-	// kept in an LRU keyed by (algorithm, quantized ε, prefilter flag) and
-	// concurrent identical builds are deduplicated by per-key singleflight.
-	// 0 selects the default capacity (64 entries); negative disables
-	// caching. Cached results are bitwise identical to fresh ones and
-	// carry Report.CacheHit = true.
+	// kept in an LRU keyed by (algorithm, quantized ε) and concurrent
+	// identical builds are deduplicated by per-key singleflight. 0 selects
+	// the default capacity (64 entries); negative disables caching.
+	// Cached results are bitwise identical to fresh ones and carry
+	// Report.CacheHit = true.
 	BuildCache int
-	// DisablePrefilter turns off the extreme-point prefilter: DSMC and
-	// SCMC then run against the full instance instead of the ξ-point work
-	// instance. Results are identical either way (the prefilter is exact,
-	// not approximate — see DESIGN.md §15); the switch exists for
-	// benchmarks and equivalence tests.
-	DisablePrefilter bool
-	// DisableLPWarmStart forces every dominance-graph edge LP to solve
-	// cold instead of warm-starting from the previous pair's optimal
-	// basis. Results are bitwise identical either way.
-	DisableLPWarmStart bool
+
+	// noPrefilter and coldLP are test hooks onto the reference paths:
+	// DSMC and SCMC on the full instance instead of the ξ-point work
+	// instance, and every dominance-graph edge LP solved cold. Both are
+	// bitwise-invisible in outputs (DESIGN.md §15).
+	noPrefilter, coldLP bool
 }
 
 // Coreseter is a preprocessed dataset ready to produce coresets at any ε.
@@ -275,7 +271,7 @@ func New(points []Point, opts ...Option) (*Coreseter, error) {
 		return nil, fmt.Errorf("mincore: %w", err)
 	}
 	inst.Workers = o.Workers
-	inst.DisableLPWarmStart = o.DisableLPWarmStart
+	inst.DisableLPWarmStart = o.coldLP
 	c.inst = inst
 	c.work, c.remap = deriveWorkInstance(inst, o)
 	return c, nil
@@ -286,10 +282,11 @@ func New(points []Point, opts ...Option) (*Coreseter, error) {
 // The prefilter is exact — only hull vertices can realize a directional
 // maximum, so restricting the candidate pool loses nothing (DESIGN.md
 // §15) — and it is skipped when it would not shrink the instance or
-// when disabled. Any construction failure falls back to the full
-// instance: the prefilter is an optimization, never a correctness gate.
+// when the noPrefilter hook is set. Any construction failure falls back
+// to the full instance: the prefilter is an optimization, never a
+// correctness gate.
 func deriveWorkInstance(inst *core.Instance, o Options) (*core.Instance, []int) {
-	if o.DisablePrefilter || inst.Xi() >= inst.N() {
+	if o.noPrefilter || inst.Xi() >= inst.N() {
 		return inst, nil
 	}
 	work, err := core.NewInstanceFromExtremes(inst.ExtPts)
@@ -297,7 +294,7 @@ func deriveWorkInstance(inst *core.Instance, o Options) (*core.Instance, []int) 
 		return inst, nil
 	}
 	work.Workers = o.Workers
-	work.DisableLPWarmStart = o.DisableLPWarmStart
+	work.DisableLPWarmStart = o.coldLP
 	return work, inst.X
 }
 
@@ -428,11 +425,11 @@ func (c *Coreseter) CoresetCtx(ctx context.Context, eps float64, algo Algorithm)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := c.validateRequest(eps, algo); err != nil {
+	if err := validateRequest(eps, algo); err != nil {
 		return nil, err
 	}
 	if c.cache != nil && eps > 0 && eps < 1 {
-		q, _, err := c.cache.do(ctx, buildKey{algo: algo, qeps: quantizeEps(eps), pf: c.prefiltered()},
+		q, _, err := c.cache.do(ctx, buildKey{algo: algo, qeps: quantizeEps(eps)},
 			func(ctx context.Context) (*Coreset, error) {
 				return c.buildOnce(ctx, eps, algo, "miss")
 			})
@@ -631,7 +628,7 @@ func (c *Coreseter) CoresetSweep(ctx context.Context, epsList []float64, algo Al
 		return nil, nil
 	}
 	for _, eps := range epsList {
-		if err := c.validateRequest(eps, algo); err != nil {
+		if err := validateRequest(eps, algo); err != nil {
 			return nil, fmt.Errorf("mincore: sweep ε=%g: %w", eps, err)
 		}
 	}

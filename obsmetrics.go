@@ -18,59 +18,21 @@ var (
 		"Completed certification pipelines by outcome.", obs.Labels{"outcome": "uncertified"})
 )
 
-// Ingest-service metrics. Like the build metrics these are per-batch /
-// per-checkpoint / per-request events, so they record unconditionally.
-var (
-	mIngestBatches = obs.Default.Counter("mincore_ingest_batches_total",
-		"Batches accepted into the ingest queue.", nil)
-	mIngestPoints = obs.Default.Counter("mincore_ingest_points_total",
-		"Points applied to a summary shard.", nil)
-	mIngestShed = obs.Default.Counter("mincore_ingest_shed_points_total",
-		"Points shed because the ingest queue was full.", nil)
-	mIngestInvalid = obs.Default.Counter("mincore_ingest_invalid_points_total",
-		"Points rejected as invalid (NaN/Inf or wrong dimension).", nil)
-	mQueueDepth = obs.Default.Gauge("mincore_ingest_queue_depth",
-		"Batches currently waiting in the ingest queue.", nil)
-	mWorkerPanics = obs.Default.Counter("mincore_worker_panics_total",
-		"Panics recovered by the ingest and checkpoint supervisors.", nil)
-	mCkptSaves = obs.Default.Counter("mincore_checkpoint_saves_total",
-		"Durable checkpoint generations written.", nil)
-	mCkptFailures = obs.Default.Counter("mincore_checkpoint_failures_total",
-		"Checkpoint save attempts that failed.", nil)
-	mCkptDuration = obs.Default.Histogram("mincore_checkpoint_duration_seconds",
-		"Wall time of checkpoint saves (merge + atomic write), in seconds.", nil, nil)
-	mServeBuilds = obs.Default.Counter("mincore_serve_build_requests_total",
-		"Coreset build requests admitted by the service.", nil)
-	mServeShed = obs.Default.Counter("mincore_serve_builds_shed_total",
-		"Coreset build requests shed by admission control.", nil)
-	mServeBuildDuration = obs.Default.Histogram("mincore_serve_build_duration_seconds",
-		"Wall time of served coreset builds, in seconds.", nil, nil)
+// Build-cache metrics of the per-Coreseter memoized build cache. The
+// family is labeled by layer: "coreseter" here, "serve" for the ingest
+// service's cache of served coresets (see newServiceMetrics). A
+// singleflight follower that joined an in-flight identical build counts
+// as a hit. Per-lookup events, recorded unconditionally.
+const (
+	helpCacheHits      = "Memoized build cache hits (including singleflight followers), by layer."
+	helpCacheMisses    = "Memoized build cache misses (each miss leads one underlying build), by layer."
+	helpCacheEvictions = "Entries evicted from the memoized build cache LRU, by layer."
 )
 
-// Build-cache metrics, labeled by layer: "coreseter" is the per-
-// Coreseter memoized build cache, "serve" the ingest service's cache of
-// served coresets (invalidated on ingest). A singleflight follower that
-// joined an in-flight identical build counts as a hit. Per-lookup
-// events, recorded unconditionally.
 var (
-	mCacheHitsBuild = obs.Default.Counter("mincore_build_cache_hits_total",
-		"Memoized build cache hits (including singleflight followers), by layer.",
-		obs.Labels{"layer": "coreseter"})
-	mCacheMissesBuild = obs.Default.Counter("mincore_build_cache_misses_total",
-		"Memoized build cache misses (each miss leads one underlying build), by layer.",
-		obs.Labels{"layer": "coreseter"})
-	mCacheEvictionsBuild = obs.Default.Counter("mincore_build_cache_evictions_total",
-		"Entries evicted from the memoized build cache LRU, by layer.",
-		obs.Labels{"layer": "coreseter"})
-	mCacheHitsServe = obs.Default.Counter("mincore_build_cache_hits_total",
-		"Memoized build cache hits (including singleflight followers), by layer.",
-		obs.Labels{"layer": "serve"})
-	mCacheMissesServe = obs.Default.Counter("mincore_build_cache_misses_total",
-		"Memoized build cache misses (each miss leads one underlying build), by layer.",
-		obs.Labels{"layer": "serve"})
-	mCacheEvictionsServe = obs.Default.Counter("mincore_build_cache_evictions_total",
-		"Entries evicted from the memoized build cache LRU, by layer.",
-		obs.Labels{"layer": "serve"})
+	mCacheHitsBuild      = obs.Default.Counter("mincore_build_cache_hits_total", helpCacheHits, obs.Labels{"layer": "coreseter"})
+	mCacheMissesBuild    = obs.Default.Counter("mincore_build_cache_misses_total", helpCacheMisses, obs.Labels{"layer": "coreseter"})
+	mCacheEvictionsBuild = obs.Default.Counter("mincore_build_cache_evictions_total", helpCacheEvictions, obs.Labels{"layer": "coreseter"})
 )
 
 // buildCacheMetrics bundles the coreseter-layer cache counters.
@@ -78,22 +40,13 @@ func buildCacheMetrics() cacheMetrics {
 	return cacheMetrics{hits: mCacheHitsBuild, misses: mCacheMissesBuild, evictions: mCacheEvictionsBuild}
 }
 
-// serveCacheMetrics bundles the serve-layer cache counters.
-func serveCacheMetrics() cacheMetrics {
-	return cacheMetrics{hits: mCacheHitsServe, misses: mCacheMissesServe, evictions: mCacheEvictionsServe}
-}
-
-// Multi-tenant metrics. serviceMetrics bundles every service-boundary
-// family one IngestService records into. The single-tenant path
-// (NewIngestService with no Tenant set) uses the process-global
-// unlabeled series above — the gate that keeps that fast path exactly
-// as it was: no new series, no per-event label work, one atomic add per
-// record. A registry-hosted tenant resolves a tenant-labeled bundle
-// once at creation (registration is idempotent, so re-creating a tenant
-// id reuses its series), after which recording costs the same single
-// atomic add. Solver-internal families (LP, dominance graph, SCMC,
-// loss oracles) intentionally stay unlabeled — see the cardinality
-// policy in DESIGN.md §11.
+// serviceMetrics bundles every service-boundary family one IngestService
+// records into. newServiceMetrics resolves the bundle once at service
+// creation (registration is idempotent, so re-creating a tenant id
+// reuses its series), after which recording costs one atomic add.
+// Solver-internal families (LP, dominance graph, SCMC, loss oracles)
+// intentionally stay unlabeled — see the cardinality policy in
+// DESIGN.md §11.
 type serviceMetrics struct {
 	ingestBatches, ingestPoints, ingestShed *obs.Counter
 	ingestInvalid, quotaShed                *obs.Counter
@@ -114,113 +67,41 @@ type serviceMetrics struct {
 	walSegments, walBytes                   *obs.Gauge
 }
 
-// mQuotaShedTotal is the unlabeled quota-shed series used by the
-// single-tenant path (quotas exist there too, via ServeOptions).
-var mQuotaShed = obs.Default.Counter("mincore_ingest_quota_shed_points_total",
-	"Points shed because the tenant's ingest quota was exhausted.", nil)
-
-// mSchedGrants (unlabeled) counts slots granted outside any registry —
-// the legacy semaphore path records nothing here; only scheduler-backed
-// services do.
-var mSchedGrants = obs.Default.Counter("mincore_sched_grants_total",
-	"Build slots granted by the fair-share scheduler.", nil)
-
 // mTenants tracks the number of live tenants across all registries.
 var mTenants = obs.Default.Gauge("mincore_tenants",
 	"Live tenant streams hosted by tenant registries.", nil)
 
-// Degraded-mode metrics. Registered at package init (like everything
-// above) so the families are present in a scrape even before the first
-// quarantine or kill — dashboards and the verify.sh leg key on family
-// presence, not just samples.
+// Degraded-mode metrics. Registered at package init so the families are
+// present in a scrape even before the first quarantine or kill —
+// dashboards and the verify.sh leg key on family presence, not just
+// samples.
 var (
 	mTenantsQuarantined = obs.Default.Gauge("mincore_tenants_quarantined",
 		"Tenants currently quarantined (corrupt state at startup or recovery).", nil)
 	mWatchdogKills = obs.Default.Counter("mincore_build_watchdog_kills_total",
 		"Build slots forcibly reclaimed by the scheduler watchdog.", nil)
-	mStaleServes = obs.Default.Counter("mincore_stale_serves_total",
-		"Coreset requests answered from the stale last-good fallback.", nil)
 )
 
-// Write-ahead-log metrics. Registered at package init like the degraded-
-// mode families so every family is present in a scrape even before the
-// first WAL-enabled service exists — the verify.sh smoke leg keys on
-// family presence.
-var (
-	mWALAppends = obs.Default.Counter("mincore_wal_appends_total",
-		"Batch records appended to a write-ahead log.", nil)
-	mWALAppendedPoints = obs.Default.Counter("mincore_wal_appended_points_total",
-		"Points made durable through write-ahead-log appends.", nil)
-	mWALAppendFailures = obs.Default.Counter("mincore_wal_append_failures_total",
-		"Write-ahead-log appends or syncs that failed (batch not acknowledged).", nil)
-	mWALFsyncs = obs.Default.Counter("mincore_wal_fsyncs_total",
-		"fsync barriers issued by the write-ahead log.", nil)
-	mWALReplayedPoints = obs.Default.Counter("mincore_wal_replayed_points_total",
-		"Points replayed from the write-ahead log into a restored summary.", nil)
-	mWALTruncations = obs.Default.Counter("mincore_wal_truncations_total",
-		"Write-ahead-log truncations after a durable checkpoint.", nil)
-	mWALSegments = obs.Default.Gauge("mincore_wal_segments",
-		"Live write-ahead-log segment files.", nil)
-	mWALBytes = obs.Default.Gauge("mincore_wal_bytes",
-		"Total size of live write-ahead-log segments, in bytes.", nil)
-)
-
-// Request-latency histograms. fsyncBuckets resolve the sub-millisecond
-// range where fdatasync on a healthy disk lives, up through the
-// multi-second stalls that indicate a sick one; the same shape fits WAL
-// appends and ingest acks, which are fsync-dominated under per-batch
-// sync. Observations attach the requesting trace ID as an exemplar when
-// one rides the context, linking a bucket back to a retained trace.
+// fsyncBuckets resolve the sub-millisecond range where fdatasync on a
+// healthy disk lives, up through the multi-second stalls that indicate a
+// sick one; the same shape fits WAL appends and ingest acks, which are
+// fsync-dominated under per-batch sync. Observations attach the
+// requesting trace ID as an exemplar when one rides the context, linking
+// a bucket back to a retained trace.
 var fsyncBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5}
 
-const (
-	helpSchedQueueWait = "Time a build request waited in the fair-share scheduler queue before its grant, in seconds."
-	helpAckDuration    = "End-to-end ingest acknowledgement time (validation, quota, WAL append+fsync, enqueue), in seconds."
-	helpWALAppendDur   = "Wall time of write-ahead-log appends including any policy-driven fsync, in seconds."
-	helpWALFsyncDur    = "Wall time of write-ahead-log fsync barriers, in seconds."
-)
-
-var (
-	mSchedQueueWait = obs.Default.Histogram("mincore_sched_queue_wait_seconds",
-		helpSchedQueueWait, nil, nil)
-	mAckDuration = obs.Default.Histogram("mincore_ingest_ack_seconds",
-		helpAckDuration, fsyncBuckets, nil)
-	mWALAppendDuration = obs.Default.Histogram("mincore_wal_append_seconds",
-		helpWALAppendDur, fsyncBuckets, nil)
-	mWALFsyncDuration = obs.Default.Histogram("mincore_wal_fsync_seconds",
-		helpWALFsyncDur, fsyncBuckets, nil)
-)
-
-// defaultServiceMetrics returns the unlabeled process-global bundle —
-// the legacy single-tenant fast path.
-func defaultServiceMetrics() serviceMetrics {
-	return serviceMetrics{
-		ingestBatches: mIngestBatches, ingestPoints: mIngestPoints,
-		ingestShed: mIngestShed, ingestInvalid: mIngestInvalid,
-		quotaShed: mQuotaShed, queueDepth: mQueueDepth,
-		workerPanics: mWorkerPanics,
-		ckptSaves:    mCkptSaves, ckptFailures: mCkptFailures, ckptDuration: mCkptDuration,
-		serveBuilds: mServeBuilds, serveShed: mServeShed, schedGrants: mSchedGrants,
-		staleServes:        mStaleServes,
-		serveBuildDuration: mServeBuildDuration,
-		schedQueueWait:     mSchedQueueWait,
-		ackDuration:        mAckDuration,
-		cache:              serveCacheMetrics(),
-		walAppends:         mWALAppends, walAppendedPoints: mWALAppendedPoints,
-		walAppendFailures: mWALAppendFailures, walFsyncs: mWALFsyncs,
-		walAppendDuration: mWALAppendDuration, walFsyncDuration: mWALFsyncDuration,
-		walReplayedPoints: mWALReplayedPoints, walTruncations: mWALTruncations,
-		walSegments: mWALSegments, walBytes: mWALBytes,
+// newServiceMetrics registers (or looks up) the series of every
+// service-boundary family for one service: labeled tenant=<id> under a
+// registry, unlabeled for a standalone service (tenant ""). Tenant ids
+// are operator-chosen and validated, so the label cardinality is bounded
+// by the number of tenants ever created in the process.
+func newServiceMetrics(tenant string) serviceMetrics {
+	var l obs.Labels
+	cl := obs.Labels{"layer": "serve"}
+	if tenant != "" {
+		l = obs.Labels{"tenant": tenant}
+		cl["tenant"] = tenant
 	}
-}
-
-// tenantServiceMetrics registers (or looks up) the tenant-labeled series
-// of every service-boundary family. Tenant ids are operator-chosen and
-// validated, so the label cardinality is bounded by the number of
-// tenants ever created in the process.
-func tenantServiceMetrics(tenant string) serviceMetrics {
-	l := obs.Labels{"tenant": tenant}
-	cl := obs.Labels{"layer": "serve", "tenant": tenant}
 	return serviceMetrics{
 		ingestBatches: obs.Default.Counter("mincore_ingest_batches_total",
 			"Batches accepted into the ingest queue.", l),
@@ -253,16 +134,13 @@ func tenantServiceMetrics(tenant string) serviceMetrics {
 		serveBuildDuration: obs.Default.Histogram("mincore_serve_build_duration_seconds",
 			"Wall time of served coreset builds, in seconds.", nil, l),
 		schedQueueWait: obs.Default.Histogram("mincore_sched_queue_wait_seconds",
-			helpSchedQueueWait, nil, l),
+			"Time a build request waited in the fair-share scheduler queue before its grant, in seconds.", nil, l),
 		ackDuration: obs.Default.Histogram("mincore_ingest_ack_seconds",
-			helpAckDuration, fsyncBuckets, l),
+			"End-to-end ingest acknowledgement time (validation, quota, WAL append+fsync, enqueue), in seconds.", fsyncBuckets, l),
 		cache: cacheMetrics{
-			hits: obs.Default.Counter("mincore_build_cache_hits_total",
-				"Memoized build cache hits (including singleflight followers), by layer.", cl),
-			misses: obs.Default.Counter("mincore_build_cache_misses_total",
-				"Memoized build cache misses (each miss leads one underlying build), by layer.", cl),
-			evictions: obs.Default.Counter("mincore_build_cache_evictions_total",
-				"Entries evicted from the memoized build cache LRU, by layer.", cl),
+			hits:      obs.Default.Counter("mincore_build_cache_hits_total", helpCacheHits, cl),
+			misses:    obs.Default.Counter("mincore_build_cache_misses_total", helpCacheMisses, cl),
+			evictions: obs.Default.Counter("mincore_build_cache_evictions_total", helpCacheEvictions, cl),
 		},
 		walAppends: obs.Default.Counter("mincore_wal_appends_total",
 			"Batch records appended to a write-ahead log.", l),
@@ -273,9 +151,9 @@ func tenantServiceMetrics(tenant string) serviceMetrics {
 		walFsyncs: obs.Default.Counter("mincore_wal_fsyncs_total",
 			"fsync barriers issued by the write-ahead log.", l),
 		walAppendDuration: obs.Default.Histogram("mincore_wal_append_seconds",
-			helpWALAppendDur, fsyncBuckets, l),
+			"Wall time of write-ahead-log appends including any policy-driven fsync, in seconds.", fsyncBuckets, l),
 		walFsyncDuration: obs.Default.Histogram("mincore_wal_fsync_seconds",
-			helpWALFsyncDur, fsyncBuckets, l),
+			"Wall time of write-ahead-log fsync barriers, in seconds.", fsyncBuckets, l),
 		walReplayedPoints: obs.Default.Counter("mincore_wal_replayed_points_total",
 			"Points replayed from the write-ahead log into a restored summary.", l),
 		walTruncations: obs.Default.Counter("mincore_wal_truncations_total",

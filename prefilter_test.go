@@ -1,7 +1,6 @@
 package mincore
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -39,6 +38,13 @@ func messyPoints(n, d int, seed int64) []Point {
 	return pts
 }
 
+// withHooks sets the unexported reference-path hooks: noPrefilter runs
+// DSMC and SCMC on the full instance, coldLP solves every dominance-graph
+// edge LP cold.
+func withHooks(noPrefilter, coldLP bool) Option {
+	return optionFunc(func(o *Options) { o.noPrefilter, o.coldLP = noPrefilter, coldLP })
+}
+
 // coresetsEqualBitwise asserts two coresets are identical: same indices
 // in the same order and bitwise-equal measured loss.
 func coresetsEqualBitwise(t *testing.T, a, b *Coreset, label string) {
@@ -68,7 +74,7 @@ func TestPrefilterExactness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := New(pts, WithSeed(7), WithPrefilter(false))
+		off, err := New(pts, WithSeed(7), withHooks(true, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +82,7 @@ func TestPrefilterExactness(t *testing.T) {
 			t.Fatalf("d=%d: prefilter inactive (ξ=%d, n=%d)", d, on.NumExtreme(), on.N())
 		}
 		if off.prefiltered() {
-			t.Fatalf("d=%d: WithPrefilter(false) left the prefilter on", d)
+			t.Fatalf("d=%d: the noPrefilter hook left the prefilter on", d)
 		}
 		for _, algo := range []Algorithm{Auto, DSMC, SCMC} {
 			qOn, err := on.Coreset(0.1, algo)
@@ -118,7 +124,7 @@ func TestPrefilterDegenerateInputs(t *testing.T) {
 	}{{"single", single}, {"all-duplicate", dup}, {"all-collinear", line}}
 	for _, tc := range cases {
 		csOn, errOn := New(tc.pts, WithSeed(3))
-		csOff, errOff := New(tc.pts, WithSeed(3), WithPrefilter(false))
+		csOff, errOff := New(tc.pts, WithSeed(3), withHooks(true, false))
 		if (errOn == nil) != (errOff == nil) {
 			t.Fatalf("%s: construction disagrees: on=%v off=%v", tc.name, errOn, errOff)
 		}
@@ -146,8 +152,7 @@ func TestPrefilterWarmStartWorkerMatrix(t *testing.T) {
 	for _, noPf := range []bool{false, true} {
 		for _, noWarm := range []bool{false, true} {
 			for _, workers := range []int{1, 3} {
-				cs, err := New(pts, WithSeed(7), WithWorkers(workers),
-					WithPrefilter(!noPf), WithLPWarmStart(!noWarm))
+				cs, err := New(pts, WithSeed(7), WithWorkers(workers), withHooks(noPf, noWarm))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -164,67 +169,4 @@ func TestPrefilterWarmStartWorkerMatrix(t *testing.T) {
 			}
 		}
 	}
-}
-
-// Cache isolation: the build cache keys on the prefilter flag, so a
-// cached prefiltered result can never answer an unfiltered request (and
-// vice versa), and the dual-search seeding ignores entries from the
-// other regime.
-func TestPrefilterCacheIsolation(t *testing.T) {
-	pts := messyPoints(200, 3, 77)
-	cs, err := New(pts, WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs.Coreset(0.1, SCMC); err != nil {
-		t.Fatal(err)
-	}
-	if n := cs.cache.len(); n != 1 {
-		t.Fatalf("cache has %d entries, want 1", n)
-	}
-	cs.cache.forEach(func(k buildKey, q *Coreset) {
-		if !k.pf {
-			t.Fatalf("prefiltered build cached under pf=false key: %+v", k)
-		}
-	})
-	// A poisoned entry from the other regime must be invisible both to
-	// lookups and to the dual search's bracket seeding.
-	wrong := &Coreset{Indices: []int{0}, Points: []Point{cs.Point(0)}, Eps: 0.2, Algorithm: SCMC}
-	cs.cache.mu.Lock()
-	cs.cache.storeLocked(buildKey{algo: SCMC, qeps: quantizeEps(0.2), pf: false}, wrong)
-	cs.cache.mu.Unlock()
-	q, err := cs.CoresetCtx(context.Background(), 0.2, SCMC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Report.CacheHit {
-		t.Fatal("pf=false cache entry served to a prefiltered caller")
-	}
-	lo, hi, seed := cs.cachedDualSeed(SCMC, 1)
-	if seed != nil && len(seed.Indices) == 1 && seed.Eps == 0.2 {
-		t.Fatal("cachedDualSeed picked up the other regime's entry")
-	}
-	_, _ = lo, hi
-}
-
-// An unfiltered Coreseter must not mark reports prefiltered, and its
-// cache keys must carry pf=false.
-func TestPrefilterOffKeying(t *testing.T) {
-	pts := messyPoints(150, 2, 91)
-	cs, err := New(pts, WithSeed(7), WithPrefilter(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := cs.Coreset(0.1, Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Report.Prefiltered {
-		t.Fatal("unfiltered build reported Prefiltered")
-	}
-	cs.cache.forEach(func(k buildKey, _ *Coreset) {
-		if k.pf {
-			t.Fatalf("unfiltered build cached under pf=true key: %+v", k)
-		}
-	})
 }

@@ -110,7 +110,7 @@ func repairable(err error) bool {
 // validateRequest centralizes input validation so every algorithm —
 // and every fallback — sees the same contract. NaN ε is rejected
 // explicitly: it slips through ordinary range comparisons.
-func (c *Coreseter) validateRequest(eps float64, algo Algorithm) error {
+func validateRequest(eps float64, algo Algorithm) error {
 	switch algo {
 	case Auto, OptMC, DSMC, SCMC, ANN, StreamSketch:
 	default:
@@ -260,7 +260,7 @@ func (c *Coreseter) jitteredEnv(attempt int) (buildEnv, error) {
 		return buildEnv{}, fmt.Errorf("mincore: repair perturbation: %w", err)
 	}
 	inst.Workers = c.opts.Workers
-	inst.DisableLPWarmStart = c.opts.DisableLPWarmStart
+	inst.DisableLPWarmStart = c.opts.coldLP
 	work, remap := deriveWorkInstance(inst, c.opts)
 	return buildEnv{full: inst, work: work, remap: remap}, nil
 }

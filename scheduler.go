@@ -33,10 +33,11 @@ import (
 // enqueueing — no matter how deep any other tenant's backlog is.
 //
 // Queues are bounded (maxQueued per tenant); excess requests shed with
-// ErrOverloaded exactly like the legacy semaphore's fast-fail, but only
-// against the tenant's own backlog. Grant order is a pure function of
-// the enqueue order, which keeps the scheduler tests deterministic: the
-// "clock" is the grant sequence number, not wall time.
+// ErrOverloaded, but only against the tenant's own backlog. Grant order
+// is a pure function of the enqueue order, which keeps the scheduler
+// tests deterministic: the "clock" is the grant sequence number, not
+// wall time. A standalone IngestService runs the same scheduler with a
+// single tenant, so every served build takes the one admission path.
 
 // Scheduler weight bounds. The DRR top-up grows a tenant's deficit by
 // quantum × weight once per ring pass, so a pathologically small weight
@@ -122,7 +123,7 @@ type schedQueue struct {
 }
 
 // buildScheduler is the weighted-fair admission controller shared by
-// every tenant of a registry. All fields are guarded by mu; dispatching
+// every tenant of a registry (or private to one standalone service). All fields are guarded by mu; dispatching
 // happens inline under the lock on every acquire/release/evict, so
 // grant order is deterministic given the enqueue order.
 type buildScheduler struct {

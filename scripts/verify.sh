@@ -8,6 +8,13 @@ cd "$(dirname "$0")/.."
 echo "== go build ./..."
 go build ./...
 
+# The benchmark (perfbench/) is its own module, so the root build never
+# compiles it; building it here catches a change to the library's API
+# that would break perfbench/run.sh. Building several packages writes
+# no binaries.
+echo "== go build -C perfbench ./..."
+go build -C perfbench ./...
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -62,12 +69,15 @@ GOMAXPROCS=4 go test -race -count=1 \
 # Multi-tenant serving: tenant registry lifecycle, deterministic DRR
 # fair-share scheduling (starvation bound, weighted draining), quota
 # shedding with an injected clock, and the versioned HTTP API — the
-# mcserve leg above already stands up the /v1 mux through httptest and
+# mcserve leg above already stands up the /v1 mux through httptest,
+# rejects malformed ε with 400 before any build slot is taken, and
 # scrapes the tenant-labeled metric families; here the library-level
-# tenant and scheduler suites run under the race detector too.
+# tenant and scheduler suites run under the race detector too,
+# including a standalone service's one-tenant admission path (builds
+# queue, Close/Kill fail the queued ones) and its ε/algorithm check.
 echo "== multi-tenant (registry, fair-share scheduler, quotas)"
 GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestScheduler|TestTenant|TestValidTenantID' .
+    -run 'TestScheduler|TestTenant|TestValidTenantID|TestServeAdmissionControl|TestServeStandaloneBuildsQueue|TestServeRejectsInvalidBuildRequests' .
 
 # Degraded-mode serving: tenant quarantine + the in-place recover
 # ladder, stale-coreset fallback (bounds, never-silent marking), the
@@ -88,15 +98,16 @@ GOMAXPROCS=4 go test -race -count=1 \
 # fallback chain, watchdog-kill flight recorder, and WAL-replay restore
 # trace under the race detector; the HTTP leg boots the real mux through
 # httptest, sends X-Request-Id'd requests, scrapes the retained traces
-# back off /v1/tenants/{id}/traces (anomaly retention included), and
-# checks the latency histograms carry exemplar trace IDs on the JSON
-# surface while the Prometheus text exposition still round-trips the
-# strict parser.
+# back off /v1/tenants/{id}/traces (anomaly retention included; unknown
+# tenant ids stay untenanted so they cannot grow the store), and checks
+# the latency histograms carry exemplar trace IDs on the JSON surface
+# while the Prometheus text exposition still round-trips the strict
+# parser.
 echo "== request tracing (trace store, flight recorder, exemplars)"
 GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestTraceStaleServePropagation|TestTraceWatchdogKillFlightRecorder|TestTraceRestoreReplay|TestTraceWALAppendSpans' .
 GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestTraceEndToEndHTTP|TestTraceAnomalyRetentionHTTP|TestTraceSlowThresholdHTTP|TestTraceEndpointsDisabled|TestHTTPMetricsAndRuntimeGauges|TestDebugTracesEndpoint|TestRouteLabelTable' ./cmd/mcserve/
+    -run 'TestTraceEndToEndHTTP|TestTraceAnomalyRetentionHTTP|TestTraceSlowThresholdHTTP|TestTraceEndpointsDisabled|TestTraceFiledOnlyUnderKnownTenants|TestHTTPMetricsAndRuntimeGauges|TestDebugTracesEndpoint|TestRouteLabelTable' ./cmd/mcserve/
 GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestTraceStore|TestRequestTrace|TestFlightRecorder|TestFlightBundle|TestHistogramExemplar|TestRegisterRuntimeGauges' ./internal/obs/
 

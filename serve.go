@@ -41,17 +41,17 @@ import (
 //     snapshot position (idempotent by sequence number), and checkpoint
 //     success truncates the log — acknowledged == durable,
 //   - never collapse under load: the ingest queue and the build
-//     semaphore are bounded, and both shed with typed ErrOverloaded
-//     instead of queueing without bound,
+//     scheduler's queue are bounded, and both shed with typed
+//     ErrOverloaded instead of queueing without bound,
 //   - never block past a caller's deadline: build requests propagate
 //     their context into CoresetCtx, cancelling mid-build within a few
 //     LP solves.
 
 // Typed service errors.
 var (
-	// ErrOverloaded is the shed response: the ingest queue or the
-	// in-flight build limit is full. The caller should back off and
-	// retry; nothing was ingested or built.
+	// ErrOverloaded is the shed response: the ingest queue or the build
+	// scheduler's queue is full. The caller should back off and retry;
+	// nothing was ingested or built.
 	ErrOverloaded = errors.New("mincore: service overloaded")
 	// ErrWorkerPanic marks a panic recovered inside an ingest worker
 	// (wrapped by *WorkerPanicError). The service stays alive; the batch
@@ -223,18 +223,14 @@ type ServeOptions struct {
 	// QueueSize bounds the batch queue feeding the workers; a full
 	// queue sheds with ErrOverloaded (default 256 batches).
 	QueueSize int
-	// MaxInflightBuilds bounds concurrent Coreset builds; excess
-	// requests shed with ErrOverloaded (default 2).
+	// MaxInflightBuilds bounds concurrent Coreset builds of a standalone
+	// service (default 2). Excess requests queue, up to 16 deep, and shed
+	// with ErrOverloaded past that. Under a registry the shared scheduler
+	// sets the bound instead.
 	MaxInflightBuilds int
 	// BuildWorkers is the Options.Workers value for served builds
 	// (0 = GOMAXPROCS).
 	BuildWorkers int
-	// DisablePrefilter turns off the extreme-point prefilter for served
-	// builds (see Options.DisablePrefilter): results are identical either
-	// way; the switch exists for benchmarks and equivalence tests. The
-	// serve cache keys on it, so flipping the option can never serve a
-	// result built under the other regime.
-	DisablePrefilter bool
 	// BuildCache bounds the cache of served coresets, keyed by (stream
 	// position, quantized ε, algorithm) — advancing the stream changes
 	// the position, so ingest invalidates every cached result
@@ -247,13 +243,9 @@ type ServeOptions struct {
 	// builds. Nil keeps the library default of discarding everything.
 	Logger *slog.Logger
 	// Tenant, when non-empty, labels this service's metric series with
-	// tenant=<id> and its log records with the tenant id. Empty keeps
-	// the process-global unlabeled series — the single-tenant fast path.
+	// tenant=<id> and its log records with the tenant id. Empty leaves
+	// the series unlabeled.
 	Tenant string
-	// Weight is the fair-share scheduler weight when the service shares
-	// a registry's build scheduler (≤ 0 and NaN mean 1; otherwise
-	// clamped into [0.01, 100]). Ignored on the legacy semaphore path.
-	Weight float64
 	// QuotaPointsPerSec caps the tenant's sustained ingest rate with a
 	// token bucket; excess points shed with ErrQuotaExceeded. 0 disables
 	// the quota.
@@ -281,9 +273,11 @@ type ServeOptions struct {
 	// door in mcserve. Nil disables both, at zero per-request cost.
 	TraceStore *obs.TraceStore
 
-	// sched, when non-nil, replaces the per-service build semaphore with
-	// the registry's shared weighted-fair scheduler.
-	sched *buildScheduler
+	// sched admits builds: the registry's shared weighted-fair scheduler,
+	// or, when nil, a private one-tenant scheduler with MaxInflightBuilds
+	// slots. weight is the tenant's fair share in it (see clampWeight).
+	sched  *buildScheduler
+	weight float64
 	// clock overrides time.Now for the quota bucket (tests and the
 	// registry's deterministic quota tests).
 	clock func() time.Time
@@ -324,7 +318,9 @@ func (o *ServeOptions) withDefaults() (ServeOptions, error) {
 	if v.MaxInflightBuilds < 1 {
 		v.MaxInflightBuilds = 2
 	}
-	v.Weight = clampWeight(v.Weight)
+	if v.sched == nil {
+		v.sched = newBuildScheduler(v.MaxInflightBuilds, 0, 0, nil)
+	}
 	if v.QuotaPointsPerSec > 0 && v.QuotaBurst < 1 {
 		v.QuotaBurst = int(math.Max(1, v.QuotaPointsPerSec))
 	}
@@ -462,9 +458,8 @@ type IngestService struct {
 	log  *slog.Logger
 	met  serviceMetrics
 
-	queue    chan [][]float64
-	buildSem chan struct{}
-	quota    *tokenBucket // nil when no ingest quota is configured
+	queue chan [][]float64
+	quota *tokenBucket // nil when no ingest quota is configured
 
 	base      *stream.Summary // restored snapshot, read-only (nil = fresh)
 	restoredN int
@@ -569,23 +564,20 @@ func NewIngestService(opts ServeOptions) (*IngestService, error) {
 		logger = obs.Discard()
 	}
 	log := obs.Component(logger, "ingest-service")
-	met := defaultServiceMetrics()
 	if o.Tenant != "" {
 		log = log.With(slog.String("tenant", o.Tenant))
-		met = tenantServiceMetrics(o.Tenant)
 	}
 	s := &IngestService{
-		opts:     o,
-		log:      log,
-		met:      met,
-		queue:    make(chan [][]float64, o.QueueSize),
-		buildSem: make(chan struct{}, o.MaxInflightBuilds),
+		opts:  o,
+		log:   log,
+		met:   newServiceMetrics(o.Tenant),
+		queue: make(chan [][]float64, o.QueueSize),
 	}
 	if o.QuotaPointsPerSec > 0 {
 		s.quota = newTokenBucket(o.QuotaPointsPerSec, o.QuotaBurst, o.clock)
 	}
 	if n := cacheCapacity(o.BuildCache, defaultServeCacheSize); n > 0 {
-		s.served = newResultCache[serveKey](n, met.cache)
+		s.served = newResultCache[serveKey](n, s.met.cache)
 	}
 	if o.StaleServe != nil {
 		s.stale = make(map[staleKey]*staleEntry)
@@ -1190,28 +1182,27 @@ const degradedCheckpointFailures = 3
 
 // serveKey identifies one served build: the stream position the request
 // saw (ingest advances it, invalidating older entries), the quantized ε,
-// the algorithm, and the prefilter regime (constant per service today,
-// but keyed so a prefiltered build can never answer an unfiltered
-// request).
+// and the algorithm.
 type serveKey struct {
 	streamN int
 	qeps    int64
 	algo    Algorithm
-	pf      bool
 }
 
 // Coreset builds a certified ε-coreset of the stream seen so far, under
-// admission control: at most MaxInflightBuilds run concurrently and
-// excess requests shed immediately with ErrOverloaded. ctx — including
-// its deadline — propagates into the whole verify-and-repair pipeline
-// via CoresetCtx. The returned report carries the durable-checkpoint
-// provenance of the stream state it was built from.
+// admission control: builds wait for a slot in the service's scheduler,
+// and requests past its queue bound shed with ErrOverloaded. ctx —
+// including its deadline — propagates into the whole verify-and-repair
+// pipeline via CoresetCtx. The returned report carries the durable-
+// checkpoint provenance of the stream state it was built from. An
+// (ε, algorithm) pair CoresetCtx would reject fails before the cache or
+// the scheduler sees it.
 //
 // Unless disabled with ServeOptions.BuildCache, results are cached per
 // (stream position, quantized ε, algorithm) and concurrent identical
 // requests share one underlying build; cached results (marked
 // Report.CacheHit, with fresh checkpoint provenance) bypass admission
-// control entirely — only the single underlying build takes a semaphore
+// control entirely — only the single underlying build takes a scheduler
 // slot.
 //
 // The build refines the sketch's champion points with the batch
@@ -1223,6 +1214,9 @@ func (s *IngestService) Coreset(ctx context.Context, eps float64, algo Algorithm
 	s.feedMu.RUnlock()
 	if closed {
 		return nil, ErrServiceClosed
+	}
+	if err := validateRequest(eps, algo); err != nil {
+		return nil, err
 	}
 	q, err := s.coresetFresh(ctx, eps, algo)
 	if err != nil {
@@ -1245,7 +1239,7 @@ func (s *IngestService) coresetFresh(ctx context.Context, eps float64, algo Algo
 	if s.served == nil {
 		return s.buildServed(ctx, eps, algo)
 	}
-	key := serveKey{streamN: s.StreamN(), qeps: quantizeEps(eps), algo: algo, pf: !s.opts.DisablePrefilter}
+	key := serveKey{streamN: s.StreamN(), qeps: quantizeEps(eps), algo: algo}
 	q, hit, err := s.served.do(ctx, key, func(ctx context.Context) (*Coreset, error) {
 		return s.buildServed(ctx, eps, algo)
 	})
@@ -1360,41 +1354,26 @@ func (s *IngestService) tryStale(ctx context.Context, eps float64, algo Algorith
 }
 
 // buildServed runs one uncached served build under admission control:
-// the registry's weighted-fair scheduler when the service belongs to
-// one (requests queue, bounded per tenant, and are granted in deficit
-// round-robin order), or the legacy fast-fail semaphore otherwise.
+// requests queue in the service's scheduler, bounded per tenant, and are
+// granted in deficit round-robin order.
 func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algorithm) (*Coreset, error) {
-	if s.opts.sched != nil {
-		waitStart := time.Now()
-		bctx, grant, err := s.opts.sched.acquire(ctx, s.opts.Tenant, s.opts.Weight)
-		if err != nil {
-			if errors.Is(err, ErrOverloaded) {
-				s.shed.Add(1)
-				s.met.serveShed.Inc()
-				s.log.Debug("build request shed by fair-share scheduler",
-					slog.Any("error", err))
-			}
-			return nil, err
-		}
-		s.met.schedQueueWait.ObserveExemplar(time.Since(waitStart).Seconds(), obs.TraceIDOf(ctx))
-		s.met.schedGrants.Inc()
-		defer grant.release()
-		// The build runs under the grant's context so a watchdog kill
-		// cancels it mid-pipeline.
-		ctx = bctx
-		grant.startSpan.End()
-	} else {
-		select {
-		case s.buildSem <- struct{}{}:
-		default:
+	waitStart := time.Now()
+	bctx, grant, err := s.opts.sched.acquire(ctx, s.opts.Tenant, s.opts.weight)
+	if err != nil {
+		if errors.Is(err, ErrOverloaded) {
 			s.shed.Add(1)
 			s.met.serveShed.Inc()
-			s.log.Debug("build request shed",
-				slog.Int("max_inflight", s.opts.MaxInflightBuilds))
-			return nil, fmt.Errorf("%w: %d builds in flight", ErrOverloaded, s.opts.MaxInflightBuilds)
+			s.log.Debug("build request shed by scheduler", slog.Any("error", err))
 		}
-		defer func() { <-s.buildSem }()
+		return nil, err
 	}
+	s.met.schedQueueWait.ObserveExemplar(time.Since(waitStart).Seconds(), obs.TraceIDOf(ctx))
+	s.met.schedGrants.Inc()
+	defer grant.release()
+	// The build runs under the grant's context so a watchdog kill cancels
+	// it mid-pipeline.
+	ctx = bctx
+	grant.startSpan.End()
 	s.builds.Add(1)
 	s.met.serveBuilds.Inc()
 	buildStart := time.Now()
@@ -1422,8 +1401,7 @@ func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algor
 	// The Coreseter is single-use (the champion set changes with the
 	// stream), so its own build cache would never hit; the serve-layer
 	// cache above is the one that carries reuse.
-	cs, err := New(pts, WithSeed(s.opts.Seed), WithWorkers(s.opts.BuildWorkers), WithBuildCache(0),
-		WithPrefilter(!s.opts.DisablePrefilter))
+	cs, err := New(pts, WithSeed(s.opts.Seed), WithWorkers(s.opts.BuildWorkers), WithBuildCache(0))
 	if err != nil {
 		return nil, err
 	}
@@ -1526,9 +1504,10 @@ func (s *IngestService) Stats() ServiceStats {
 }
 
 // Close shuts the service down gracefully: no new feeds or builds are
-// accepted, queued batches are drained into the shards, and a final
-// checkpoint is written (its error is returned). Safe to call once;
-// later calls return ErrServiceClosed.
+// accepted, queued build requests fail with ErrServiceClosed, queued
+// batches are drained into the shards, and a final checkpoint is written
+// (its error is returned). Safe to call once; later calls return
+// ErrServiceClosed.
 func (s *IngestService) Close() error {
 	s.feedMu.Lock()
 	if s.closed {
@@ -1538,6 +1517,7 @@ func (s *IngestService) Close() error {
 	s.closed = true
 	close(s.queue)
 	s.feedMu.Unlock()
+	s.opts.sched.evict(s.opts.Tenant, ErrServiceClosed)
 
 	s.workerWG.Wait() // drain the queue
 	s.cancel()        // stop the checkpoint loop
@@ -1558,14 +1538,16 @@ func (s *IngestService) Close() error {
 }
 
 // Kill abandons the service as a crash would: goroutines stop as soon
-// as they notice, queued batches are dropped, and no final checkpoint
-// is written — everything after the last durable generation is lost,
-// exactly the window recovery is designed for. Used by the chaos tests;
-// production shutdown should use Close.
+// as they notice, queued batches are dropped, queued build requests fail
+// with ErrServiceClosed, and no final checkpoint is written — everything
+// after the last durable generation is lost, exactly the window recovery
+// is designed for. Used by the chaos tests; production shutdown should
+// use Close.
 func (s *IngestService) Kill() {
 	s.feedMu.Lock()
 	s.closed = true
 	s.feedMu.Unlock()
+	s.opts.sched.evict(s.opts.Tenant, ErrServiceClosed)
 	// The queue channel is abandoned, not closed: Feed callers racing
 	// Kill see the closed flag first, and unread batches become garbage.
 	s.cancel()

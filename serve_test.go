@@ -143,26 +143,158 @@ func TestServeWorkerPanicIsolation(t *testing.T) {
 	}
 }
 
+// waitPending waits until tenant has a build request queued in b.
+func waitPending(t *testing.T, b *buildScheduler, tenant string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for b.stats().Pending[tenant] < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("build request never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// parkBuildRequest queues one build request for tenant in b, so with a
+// queue bound of 1 the tenant's next request sheds. The returned func
+// withdraws the parked request.
+func parkBuildRequest(t *testing.T, b *buildScheduler, tenant string) func() {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, g, err := b.acquire(ctx, tenant, 1); err == nil {
+			g.release()
+		}
+	}()
+	waitPending(t, b, tenant)
+	return func() { cancel(); <-done }
+}
+
 func TestServeAdmissionControl(t *testing.T) {
-	svc := newTestService(t, ServeOptions{MaxInflightBuilds: 1})
+	sched := newBuildScheduler(1, 1, 0, nil)
+	svc := newTestService(t, ServeOptions{sched: sched})
 	defer svc.Kill()
 	if err := svc.Feed(servePoints(200, 3)...); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, svc, 200)
 
-	// Occupy the only build slot, then demand another build.
-	svc.buildSem <- struct{}{}
-	_, err := svc.Coreset(context.Background(), 0.1, Auto)
+	// Occupy the only build slot and the only queue place, then demand
+	// another build.
+	_, g, err := sched.acquire(context.Background(), "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpark := parkBuildRequest(t, sched, "")
+	_, err = svc.Coreset(context.Background(), 0.1, Auto)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("saturated builds: err = %v, want ErrOverloaded", err)
 	}
 	if svc.Stats().BuildsShed != 1 {
 		t.Fatalf("BuildsShed = %d, want 1", svc.Stats().BuildsShed)
 	}
-	<-svc.buildSem
+	unpark()
+	g.release()
 	if _, err := svc.Coreset(context.Background(), 0.1, Auto); err != nil {
 		t.Fatalf("Coreset after slot freed: %v", err)
+	}
+}
+
+// TestServeStandaloneBuildsQueue: a standalone service's private
+// scheduler queues builds past MaxInflightBuilds instead of shedding
+// them, and Close or Kill fails the queued requests with
+// ErrServiceClosed.
+func TestServeStandaloneBuildsQueue(t *testing.T) {
+	for _, stop := range []struct {
+		name string
+		f    func(*IngestService)
+	}{
+		{"close", func(s *IngestService) { s.Close() }},
+		{"kill", (*IngestService).Kill},
+	} {
+		t.Run(stop.name, func(t *testing.T) {
+			svc := newTestService(t, ServeOptions{MaxInflightBuilds: 1, BuildCache: -1})
+			defer svc.Kill()
+			if err := svc.Feed(servePoints(200, 3)...); err != nil {
+				t.Fatal(err)
+			}
+			drain(t, svc, 200)
+
+			entered := make(chan struct{})
+			unblock := make(chan struct{})
+			svc.buildHook = func(context.Context) { close(entered); <-unblock }
+			running := make(chan error, 1)
+			go func() {
+				_, err := svc.Coreset(context.Background(), 0.1, Auto)
+				running <- err
+			}()
+			<-entered
+			svc.buildHook = nil
+
+			queued := make(chan error, 1)
+			go func() {
+				_, err := svc.Coreset(context.Background(), 0.1, Auto)
+				queued <- err
+			}()
+			waitPending(t, svc.opts.sched, "")
+			if st := svc.Stats(); st.BuildsShed != 0 {
+				t.Fatalf("BuildsShed = %d with a free queue place, want 0", st.BuildsShed)
+			}
+
+			stop.f(svc)
+			select {
+			case err := <-queued:
+				if !errors.Is(err, ErrServiceClosed) {
+					t.Errorf("queued build after %s: err = %v, want ErrServiceClosed", stop.name, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Errorf("queued build still waiting after %s", stop.name)
+			}
+			close(unblock)
+			if err := <-running; err != nil {
+				t.Fatalf("running build: %v", err)
+			}
+		})
+	}
+}
+
+// TestServeRejectsInvalidBuildRequests: an (ε, algorithm) pair CoresetCtx
+// rejects fails before the serve cache or the scheduler sees it — no
+// slot, no build, nothing counted.
+func TestServeRejectsInvalidBuildRequests(t *testing.T) {
+	svc := newTestService(t, ServeOptions{Seed: 3})
+	defer svc.Kill()
+	if err := svc.Feed(servePoints(200, 3)...); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, svc, 200)
+
+	for _, tc := range []struct {
+		name string
+		eps  float64
+		algo Algorithm
+		want error
+	}{
+		{"nan", math.NaN(), Auto, nil},
+		{"nan dsmc", math.NaN(), DSMC, nil},
+		{"eps above 1", 1.5, DSMC, nil},
+		{"negative eps", -0.2, SCMC, nil},
+		{"unknown algorithm", 0.1, Algorithm("bogus"), ErrUnknownAlgorithm},
+	} {
+		_, err := svc.Coreset(context.Background(), tc.eps, tc.algo)
+		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Errorf("%s: err = %v, want a request error", tc.name, err)
+		}
+	}
+	st := svc.Stats()
+	if st.Builds != 0 || st.BuildsShed != 0 || st.CacheMisses != 0 {
+		t.Fatalf("invalid requests reached admission: builds=%d shed=%d misses=%d",
+			st.Builds, st.BuildsShed, st.CacheMisses)
+	}
+	if g := svc.opts.sched.stats().Grants; g != 0 {
+		t.Fatalf("invalid requests took %d scheduler slots", g)
 	}
 }
 

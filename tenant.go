@@ -534,17 +534,16 @@ func (r *TenantRegistry) startTenant(cfg TenantConfig, createdAt time.Time, pers
 		CheckpointInterval: r.opts.CheckpointInterval,
 		IngestWorkers:      cfg.IngestWorkers,
 		QueueSize:          cfg.QueueSize,
-		MaxInflightBuilds:  r.opts.MaxInflightBuilds,
 		BuildWorkers:       r.opts.BuildWorkers,
 		BuildCache:         cfg.BuildCache,
 		Logger:             r.opts.Logger,
 		Tenant:             cfg.ID,
-		Weight:             cfg.Weight,
 		QuotaPointsPerSec:  cfg.QuotaPointsPerSec,
 		QuotaBurst:         cfg.QuotaBurst,
 		StaleServe:         r.opts.StaleServe,
 		TraceStore:         r.opts.TraceStore,
 		sched:              r.sched,
+		weight:             cfg.Weight,
 		clock:              r.opts.clock,
 		flight:             r.flight,
 		diagDir:            r.diagDir(cfg.ID),

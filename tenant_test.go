@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mincore/internal/obs"
 )
 
 func newTestRegistry(t *testing.T, opts RegistryOptions) *TenantRegistry {
@@ -451,6 +453,57 @@ func TestTenantDeleteCreateRace(t *testing.T) {
 		}
 		if err := r.DeleteTenant(id); err != nil {
 			t.Fatalf("iter %d: cleanup DeleteTenant: %v", i, err)
+		}
+	}
+}
+
+// TestServiceMetricSeries pins the service-boundary series of both kinds
+// of service: a standalone service exports them unlabeled, a registry
+// tenant under tenant=<id> (the serve cache also under layer="serve").
+// perfbench/layers reads the tenant-labeled series.
+func TestServiceMetricSeries(t *testing.T) {
+	svc := newTestService(t, ServeOptions{})
+	defer svc.Kill()
+	r := newTestRegistry(t, RegistryOptions{})
+	if _, err := r.CreateTenant(TenantConfig{ID: "series"}); err != nil {
+		t.Fatal(err)
+	}
+	flat := obs.Default.Flatten()
+	var want []string
+	for _, lbl := range []string{"", `{tenant="series"}`} {
+		for _, name := range []string{
+			"mincore_ingest_batches_total", "mincore_ingest_points_total",
+			"mincore_ingest_shed_points_total", "mincore_ingest_invalid_points_total",
+			"mincore_ingest_quota_shed_points_total", "mincore_ingest_queue_depth",
+			"mincore_worker_panics_total", "mincore_checkpoint_saves_total",
+			"mincore_checkpoint_failures_total", "mincore_serve_build_requests_total",
+			"mincore_serve_builds_shed_total", "mincore_sched_grants_total",
+			"mincore_stale_serves_total", "mincore_wal_appends_total",
+			"mincore_wal_appended_points_total", "mincore_wal_append_failures_total",
+			"mincore_wal_fsyncs_total", "mincore_wal_replayed_points_total",
+			"mincore_wal_truncations_total", "mincore_wal_segments", "mincore_wal_bytes",
+		} {
+			want = append(want, name+lbl)
+		}
+		for _, name := range []string{
+			"mincore_checkpoint_duration_seconds", "mincore_serve_build_duration_seconds",
+			"mincore_sched_queue_wait_seconds", "mincore_ingest_ack_seconds",
+			"mincore_wal_append_seconds", "mincore_wal_fsync_seconds",
+		} {
+			want = append(want, name+"_count"+lbl)
+		}
+	}
+	for _, lbl := range []string{`{layer="serve"}`, `{layer="serve",tenant="series"}`} {
+		for _, name := range []string{
+			"mincore_build_cache_hits_total", "mincore_build_cache_misses_total",
+			"mincore_build_cache_evictions_total",
+		} {
+			want = append(want, name+lbl)
+		}
+	}
+	for _, key := range want {
+		if _, ok := flat[key]; !ok {
+			t.Errorf("series %s not registered", key)
 		}
 	}
 }
