@@ -123,10 +123,12 @@ bench-speed:
 	./scripts/bench_speed.sh
 
 # Raw-speed correctness: the warm-start/prefilter determinism matrix
-# under the race detector, then the allocation-regression gates (plain —
-# race instrumentation inflates alloc counts, and the gate files are
-# built with //go:build !race).
+# and SCMC's cut loop (multiplier and Farkas cut readouts, pinned sizes,
+# round bound, cancellation, worker-count determinism) under the race
+# detector, then the allocation-regression gates (plain — race
+# instrumentation inflates alloc counts, and the gate files are built
+# with //go:build !race).
 speed:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter' . ./internal/core/ ./internal/lp/
+		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
 	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs' ./internal/lp/ ./internal/core/

@@ -231,27 +231,6 @@ func BenchmarkAblationSCMCSplit(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSCMCAdaptive compares uniform doubling with the
-// corner-seeking adaptive sampler of Appendix B.
-func BenchmarkAblationSCMCAdaptive(b *testing.B) {
-	inst := benchInstance(b, 20000, 4)
-	eps := 0.05
-	b.Run("uniform", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := inst.SCMC(eps, core.SCMCOptions{Seed: int64(i)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := inst.SCMCAdaptive(eps, core.SCMCOptions{Seed: int64(i)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationIPDG compares DSMC at d = 3 with the exact
 // (hull-edge) IPDG against the sampled approximation — quantifying what
 // the paper's d > 3 fallback costs.

@@ -7,8 +7,9 @@
 //   - DSMC (Algorithms 2–3): the dominance-graph approximation in any
 //     fixed dimension, with LP edge weights (Eq. 2) and greedy dominating
 //     set.
-//   - SCMC (Algorithm 4): the δ-net set-cover approximation with the
-//     iterative sample-doubling strategy of Appendix A.
+//   - SCMC (Algorithm 4): the δ-net set-cover approximation, with the
+//     direction set grown from the exact loss oracle's cuts instead of a
+//     fixed net or a blindly doubled sample.
 //   - ANNKernel: the ε-kernel baseline of Yu et al. [45] ("ANN" in the
 //     paper's experiments), in internal/kernel, glued here for loss
 //     validation.
@@ -62,13 +63,6 @@ type Instance struct {
 
 	tree    *mips.KDTree // over Pts
 	extTree *mips.KDTree // over ExtPts
-
-	// SCMC substrate memo: the sampled directions of a doubling stage and
-	// their exact directional maxima are pure functions of (m, seed) and
-	// independent of ε, so ε sweeps and repeated builds share them. See
-	// scmcDirBlock.
-	scmcMu     sync.Mutex
-	scmcBlocks map[scmcBlockKey]*scmcBlock
 
 	// Dominance-graph substrate memo: the witness directions and the
 	// warm-start scan tour are pure deterministic functions of the

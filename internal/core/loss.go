@@ -150,70 +150,9 @@ func (inst *Instance) LossExactLP(q []int) float64 {
 // remaining LPs are skipped (the result is 1 regardless of which owners
 // were skipped, so the early exit preserves determinism).
 func (inst *Instance) LossExactLPCtx(ctx context.Context, q []int) (float64, error) {
-	if obs.On() {
-		mLossExactLP.Inc()
-	}
-	if len(q) == 0 {
-		return 1, nil
-	}
-	d := inst.D
-	qpts := make([]geom.Vector, len(q))
-	for i, id := range q {
-		qpts[i] = inst.Pts[id]
-	}
-	// Restrict to the hull of Q: interior points never realize ω(Q,u).
-	qh, err := hull.ExtremePoints(qpts)
-	if err != nil {
-		return 0, fmt.Errorf("core: loss evaluation: %w", err)
-	}
-	qx := make([]geom.Vector, len(qh))
-	for i, id := range qh {
-		qx[i] = qpts[id]
-	}
-
-	inQ := make(map[string]bool, len(qx))
-	for _, qp := range qx {
-		inQ[coordKey(qp)] = true
-	}
-	vals := make([]float64, len(inst.ExtPts))
-	errs := make([]error, len(inst.ExtPts))
-	var lossOne atomic.Bool
-	// Per-worker scratch: the owner LPs differ in their coefficient
-	// matrix (the owner point is a column), so no warm-starting — but the
-	// pooled solver still reuses the tableau and extraction buffers
-	// across every owner the worker evaluates.
-	scratch := make([]lossScratch, parallel.WorkersFor(inst.Workers, len(inst.ExtPts)))
-	err = parallel.ForWorker(ctx, inst.Workers, len(inst.ExtPts), func(w, k int) {
-		if lossOne.Load() {
-			return
-		}
-		t := inst.ExtPts[k]
-		// Owners that are themselves in Q contribute nothing: the
-		// constraint ⟨t,u⟩ ≤ 1−x with ⟨t,u⟩ = 1 forces x ≤ 0.
-		if inQ[coordKey(t)] {
-			return
-		}
-		val, ok, lerr := scratch[w].lossLPForOwner(t, qx, d)
-		if lerr != nil {
-			errs[k] = lerr
-			return
-		}
-		if !ok || val >= 1 {
-			lossOne.Store(true)
-			return
-		}
-		vals[k] = val
-	})
+	vals, _, err := inst.ownerLPsCtx(ctx, q, 0, false)
 	if err != nil {
 		return 0, err
-	}
-	// A failed owner LP wins over any result: a loss assembled from a
-	// partially failed oracle must never certify a coreset.
-	if lerr := firstError(errs); lerr != nil {
-		return 0, lerr
-	}
-	if lossOne.Load() {
-		return 1, nil
 	}
 	worst := 0.0
 	for _, v := range vals {
@@ -224,19 +163,128 @@ func (inst *Instance) LossExactLPCtx(ctx context.Context, q []int) (float64, err
 	return clampLoss(worst), nil
 }
 
-// lossScratch is the per-worker arena for LossExactLP: a pooled solver
+// ownerLPsCtx is the exact oracle's per-owner fan-out, shared by
+// LossExactLPCtx and SCMC's cut loop. vals[k] is the loss the LP of
+// extreme point k proves: its optimum, or 1 for an infeasible dual (an
+// uncovered direction cone, also every owner's verdict when Q is empty);
+// owners in Q prove 0. Each owner writes only its own slots and owners
+// are independent, so the result is bitwise identical for every worker
+// count.
+//
+// Without cuts the fan-out stops as soon as some owner proves loss 1. With
+// cuts every owner is solved, and cuts[k] is a unit direction u with
+// loss(Q,u) ≥ vals[k] for each owner above eps, read off the LP already
+// solved: the first d simplex multipliers of an optimal dual (the primal's
+// maximizing u), or the first d entries of an infeasible dual's Farkas
+// ray, which satisfies ω(Q,u) < 0 < ω(P,u). cuts[k] stays nil when that
+// vector cannot be normalized.
+func (inst *Instance) ownerLPsCtx(ctx context.Context, q []int, eps float64, cuts bool) ([]float64, []geom.Vector, error) {
+	if obs.On() {
+		mLossExactLP.Inc()
+	}
+	vals := make([]float64, len(inst.ExtPts))
+	var dirs []geom.Vector
+	if cuts {
+		dirs = make([]geom.Vector, len(inst.ExtPts))
+	}
+	if len(q) == 0 {
+		for k := range vals {
+			vals[k] = 1
+		}
+		return vals, dirs, nil
+	}
+	d := inst.D
+	qpts := make([]geom.Vector, len(q))
+	for i, id := range q {
+		qpts[i] = inst.Pts[id]
+	}
+	// Restrict to the hull of Q: interior points never realize ω(Q,u).
+	qh, err := hull.ExtremePoints(qpts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: loss evaluation: %w", err)
+	}
+	qx := make([]geom.Vector, len(qh))
+	for i, id := range qh {
+		qx[i] = qpts[id]
+	}
+
+	inQ := make(map[string]bool, len(qx))
+	for _, qp := range qx {
+		inQ[coordKey(qp)] = true
+	}
+	errs := make([]error, len(inst.ExtPts))
+	var lossOne atomic.Bool
+	// Per-worker scratch: the owner LPs differ in their coefficient
+	// matrix (the owner point is a column), so no warm-starting — but the
+	// pooled solver still reuses the tableau and extraction buffers
+	// across every owner the worker evaluates.
+	scratch := make([]lossScratch, parallel.WorkersFor(inst.Workers, len(inst.ExtPts)))
+	err = parallel.ForWorker(ctx, inst.Workers, len(inst.ExtPts), func(w, k int) {
+		if !cuts && lossOne.Load() {
+			return
+		}
+		t := inst.ExtPts[k]
+		// Owners that are themselves in Q contribute nothing: the
+		// constraint ⟨t,u⟩ ≤ 1−x with ⟨t,u⟩ = 1 forces x ≤ 0.
+		if inQ[coordKey(t)] {
+			return
+		}
+		scr := &scratch[w]
+		sol, lerr := scr.lossLPForOwner(t, qx, d, cuts)
+		if lerr != nil {
+			errs[k] = lerr
+			return
+		}
+		if sol.Status == lp.Infeasible || sol.Value >= 1 {
+			vals[k] = 1
+			lossOne.Store(true)
+		} else {
+			vals[k] = sol.Value
+		}
+		if !cuts || vals[k] <= eps {
+			return
+		}
+		var u []float64
+		if sol.Status == lp.Infeasible {
+			u = sol.Farkas
+		} else {
+			scr.pi = scr.solver.Multipliers(scr.pi)
+			u = scr.pi
+		}
+		if len(u) > d {
+			v := geom.Vector(u[:d])
+			if n := v.Norm(); n > 0 && n <= math.MaxFloat64 {
+				dirs[k] = v.Scale(1 / n)
+			}
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	// A failed owner LP wins over any result: a loss assembled from a
+	// partially failed oracle must never certify a coreset.
+	if lerr := firstError(errs); lerr != nil {
+		return nil, nil, lerr
+	}
+	return vals, dirs, nil
+}
+
+// lossScratch is the per-worker arena for the owner LPs: a pooled solver
 // plus the objective/row coefficient buffers (the Problem clones what it
-// keeps, so the buffers never alias solver state).
+// keeps, so the buffers never alias solver state) and the multiplier
+// buffer cuts are read into.
 type lossScratch struct {
 	solver lp.Solver
 	obj    []float64
 	row    []float64
+	pi     []float64
 }
 
-// lossLPForOwner solves the per-owner loss LP. ok=false signals an
-// unbounded primal (loss 1); a non-nil error signals a solver failure
-// (iteration limit, malformed tableau, or an impossible status) whose
-// value must not be trusted.
+// lossLPForOwner solves the per-owner loss LP and returns its solution,
+// Optimal or Infeasible (an unbounded primal: loss 1); any other outcome
+// is a solver failure (iteration limit, malformed tableau, or an
+// impossible status) returned as an error, whose value must not be
+// trusted. farkas asks for the infeasibility ray the cut loop reads.
 //
 // The primal — max x s.t. ⟨q,u⟩ + x ≤ 1 ∀q, ⟨t,u⟩ = 1 over free (u,x) —
 // has |Q|+1 rows and d+1 variables; a tableau simplex pays per-row for
@@ -245,14 +293,15 @@ type lossScratch struct {
 //	min Σ_q y_q + z   s.t.  Σ_q y_q·q + z·t = 0,  Σ_q y_q = 1,
 //	                        y ≥ 0, z free.
 //
-// By strong duality the optimum equals the primal maximum; an infeasible
-// dual means an unbounded primal (the coreset leaves a whole direction
-// cone uncovered).
-func (scr *lossScratch) lossLPForOwner(t geom.Vector, qx []geom.Vector, d int) (float64, bool, error) {
+// By strong duality the optimum equals the primal maximum, and the
+// dual's simplex multipliers on its d+1 rows are the primal optimum
+// (u, x); an infeasible dual means an unbounded primal (the coreset
+// leaves a whole direction cone uncovered).
+func (scr *lossScratch) lossLPForOwner(t geom.Vector, qx []geom.Vector, d int, farkas bool) (lp.Solution, error) {
 	if faultinject.Fail(faultinject.SiteLossLP) {
-		return 0, false, fmt.Errorf("core: loss-LP failpoint: %w", ErrNumericalInstability)
+		return lp.Solution{}, fmt.Errorf("core: loss-LP failpoint: %w", ErrNumericalInstability)
 	}
-	scr.solver.SkipFarkas = true // only Status/Value are read
+	scr.solver.SkipFarkas = !farkas
 	scr.solver.ValueOnly = true
 	nq := len(qx)
 	prob := lp.NewProblem(nq + 1) // vars: y_q ≥ 0, z free
@@ -285,16 +334,14 @@ func (scr *lossScratch) lossLPForOwner(t geom.Vector, qx []geom.Vector, d int) (
 	prob.AddEQ(row, 1)
 	sol := scr.solver.Solve(prob)
 	switch sol.Status {
-	case lp.Optimal:
-		return sol.Value, true, nil
-	case lp.Infeasible:
-		return 0, false, nil // primal unbounded: loss ≥ 1
+	case lp.Optimal, lp.Infeasible:
+		return sol, nil
 	case lp.Unbounded:
 		// Dual unbounded would mean a primal with no feasible u, i.e.
 		// t = 0, impossible on a fat instance: a misread, not a loss.
-		return 0, true, fmt.Errorf("core: loss LP dual unbounded: %w", ErrInfeasible)
+		return sol, fmt.Errorf("core: loss LP dual unbounded: %w", ErrInfeasible)
 	default:
-		return 0, true, lpFailure(sol.Status)
+		return sol, lpFailure(sol.Status)
 	}
 }
 

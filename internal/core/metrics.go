@@ -17,7 +17,7 @@ var (
 	mDGEdges = obs.Default.Counter("mincore_dg_edges_total",
 		"Dominance-graph edges retained (weight < 1).", nil)
 	mSCMCRounds = obs.Default.Counter("mincore_scmc_rounds_total",
-		"SCMC direction-sample doubling rounds executed.", nil)
+		"SCMC cut rounds executed (cover, exact-oracle check, cuts).", nil)
 
 	mLossExact2D = obs.Default.Counter("mincore_loss_oracle_calls_total",
 		"Loss-oracle evaluations by evaluator.", obs.Labels{"evaluator": "exact2d"})

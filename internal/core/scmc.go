@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"mincore/internal/geom"
 	"mincore/internal/obs"
@@ -24,91 +23,104 @@ import (
 //   - SCMCNet follows Algorithm 4 literally with a deterministic
 //     (αδ/d)-net, practical only in low dimensions where the net size
 //     O(1/δ^{d-1}) is manageable.
-//   - SCMC (the default) uses the iterative doubling strategy of the
-//     Appendix A remark: sample m random directions, solve, validate
-//     l(Q) ≤ ε exactly, and double m until valid. This is the variant
-//     whose running time the paper benchmarks.
+//   - SCMC (the default) replaces the net by constraint generation: it
+//     covers a small uniform sample, asks the exact loss oracle which
+//     directions the cover misses by more than ε, adds exactly those to
+//     N, and covers again until none remain. It pays only for the
+//     directions that matter, where the Appendix A remark doubles a blind
+//     uniform sample.
 
 // SCMCOptions tunes the algorithm. Zero values select the paper's
 // defaults.
 type SCMCOptions struct {
-	Gamma       float64 // cell approximation; default ε/2
-	InitSamples int     // initial m for the doubling variant; default 4·(d+1)·8
-	MaxSamples  int     // doubling cap; default 1<<20
-	Seed        int64
+	Gamma float64 // cell approximation; default ε/2
+	Seed  int64
 }
 
-func (o *SCMCOptions) defaults(eps float64, d int) {
+func (o *SCMCOptions) defaults(eps float64) {
 	if o.Gamma == 0 {
 		o.Gamma = eps / 2
 	}
-	if o.InitSamples == 0 {
-		o.InitSamples = 32 * (d + 1)
-	}
-	if o.MaxSamples == 0 {
-		o.MaxSamples = 1 << 20
-	}
 }
 
-// SCMC computes an ε-coreset by iterative sample doubling. Returns the
-// coreset (indices into inst.Pts) and the number of sampled directions of
-// the final, successful stage.
+// scmcRounds bounds SCMC's cut rounds. Every instance measured, up to
+// d = 9 and down to ε = 0.02, converges within 8; past the bound SCMC
+// gives up and returns X.
+const scmcRounds = 32
+
+// SCMC computes an ε-coreset by growing the set-cover universe from
+// exact-oracle cuts. Returns the coreset (indices into inst.Pts) and the
+// number of directions in the final universe.
 func (inst *Instance) SCMC(eps float64, opts SCMCOptions) ([]int, int, error) {
 	return inst.SCMCCtx(context.Background(), eps, opts)
 }
 
 // SCMCCtx is SCMC with cooperative cancellation: the context is checked
-// between doubling stages and propagated into the parallel set-system
-// construction and loss validations.
+// between cut rounds and propagated into the parallel range queries and
+// owner LPs.
 //
-// The per-stage substrate — the sampled directions and their exact
-// directional maxima ω(P,u), both independent of ε — is memoized on the
-// instance (scmcDirBlock), so an ε sweep or repeated builds at different
-// ε redo only the ε-dependent threshold queries and set cover.
+// The universe starts as 32·(d+1) uniform directions drawn from
+// opts.Seed. Each round covers it greedily at γ and runs the exact
+// owner-LP oracle (LossExactLP's per-owner LPs) on the cover; every owner
+// whose loss exceeds ε contributes one cut — the direction its LP proves
+// the loss in — and the next round covers the grown universe. Every later
+// cover represents a cut u to within γ, below ε at the default γ = ε/2,
+// so no direction the oracle named is violated again; the loop ends when
+// no owner exceeds ε, which is LossExactLP(Q) ≤ ε. After scmcRounds
+// rounds, or when a violating owner yields no usable cut, it gives up and
+// returns X, a 0-coreset. Cuts are collected in owner order, so the
+// result is identical for every worker count.
 func (inst *Instance) SCMCCtx(ctx context.Context, eps float64, opts SCMCOptions) ([]int, int, error) {
 	if eps <= 0 || eps >= 1 {
 		return nil, 0, fmt.Errorf("core: SCMC requires ε ∈ (0,1), got %g", eps)
 	}
-	opts.defaults(eps, inst.D)
-	m := opts.InitSamples
-	seed := opts.Seed
-	for {
+	opts.defaults(eps)
+	dirs := sphere.RandomDirections(32*(inst.D+1), inst.D, opts.Seed)
+	return inst.scmcCuts(ctx, eps, opts.Gamma, dirs, scmcRounds)
+}
+
+// scmcCuts is SCMCCtx's cut loop from the given initial directions with
+// at most maxRounds rounds.
+func (inst *Instance) scmcCuts(ctx context.Context, eps, gamma float64, dirs []geom.Vector, maxRounds int) ([]int, int, error) {
+	var hits [][]int
+	total := 0
+	for round := 0; round < maxRounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
+		}
 		if obs.On() {
 			mSCMCRounds.Inc()
 		}
-		dirs, omega, err := inst.scmcDirBlock(ctx, m, seed)
+		h, err := inst.scmcHits(ctx, dirs, gamma)
 		if err != nil {
 			return nil, 0, err
 		}
-		q, err := inst.scmcSolveOmega(ctx, dirs, omega, opts.Gamma)
+		hits = append(hits, h...)
+		total += len(dirs)
+		q := inst.scmcCover(hits)
+		vals, cuts, err := inst.ownerLPsCtx(ctx, q, eps, true)
 		if err != nil {
 			return nil, 0, err
 		}
-		// Sampled lower bound screens out clearly-invalid stages before
-		// paying for the exact loss.
-		if len(q) > 0 {
-			ml, err := inst.maxLossSampledCtx(ctx, q, 2048, seed+int64(m)+5)
-			if err != nil {
-				return nil, 0, err
-			}
-			if ml <= eps {
-				l, err := inst.LossCtx(ctx, q)
-				if err != nil {
-					return nil, 0, err
-				}
-				if l <= eps {
-					return q, m, nil
+		violated := false
+		dirs = nil
+		for k, v := range vals {
+			if v > eps {
+				violated = true
+				if cuts[k] != nil {
+					dirs = append(dirs, cuts[k])
 				}
 			}
 		}
-		if m >= opts.MaxSamples {
-			// Give up on sampling: X itself is a 0-coreset and always
-			// valid; the paper's implementation cannot reach this point
-			// on fat instances, but degenerate inputs deserve an answer.
-			return append([]int(nil), inst.X...), m, nil
+		if !violated {
+			return q, total, nil
 		}
-		m *= 2
+		if len(dirs) == 0 {
+			break
+		}
 	}
+	// Give up: X itself is a 0-coreset and always valid.
+	return append([]int(nil), inst.X...), total, nil
 }
 
 // SCMCNet runs Algorithm 4 with the deterministic (αδ/d)-net, δ = ε/4,
@@ -118,121 +130,42 @@ func (inst *Instance) SCMCNet(eps, delta float64, opts SCMCOptions) ([]int, int,
 	if eps <= 0 || eps >= 1 {
 		return nil, 0, fmt.Errorf("core: SCMCNet requires ε ∈ (0,1), got %g", eps)
 	}
-	opts.defaults(eps, inst.D)
+	opts.defaults(eps)
 	if delta <= 0 {
 		delta = eps / 4
 	}
 	radius := inst.Alpha * delta / float64(inst.D)
 	net := sphere.Net(inst.D, radius)
-	q, err := inst.scmcSolve(net, opts.Gamma)
+	hits, err := inst.scmcHits(context.Background(), net, opts.Gamma)
 	if err != nil {
 		return nil, 0, err
 	}
-	return q, len(net), nil
+	return inst.scmcCover(hits), len(net), nil
 }
 
-// scmcBlockKey identifies one memoized sampling stage.
-type scmcBlockKey struct {
-	m    int
-	seed int64
-}
-
-// scmcBlock is the ε-independent substrate of one SCMC doubling stage.
-type scmcBlock struct {
-	dirs  []geom.Vector
-	omega []float64 // ω(P, dirs[k]), exact
-}
-
-// scmcBlockCap bounds the per-instance substrate memo. Blocks are pure
-// functions of their key, so eviction affects speed, never results; the
-// largest doubling stages dominate memory, hence the small cap.
-const scmcBlockCap = 4
-
-// scmcDirBlock returns the sampled directions for a doubling stage
-// together with their exact directional maxima, memoized on the
-// instance. Both are ε-independent: the directions derive only from
-// (m, d, seed) and ω(P,u) only from the point set, so every build — any
-// ε, any worker count — sees identical values.
-func (inst *Instance) scmcDirBlock(ctx context.Context, m int, seed int64) ([]geom.Vector, []float64, error) {
-	key := scmcBlockKey{m: m, seed: seed}
-	inst.scmcMu.Lock()
-	if b, ok := inst.scmcBlocks[key]; ok {
-		inst.scmcMu.Unlock()
-		return b.dirs, b.omega, nil
-	}
-	inst.scmcMu.Unlock()
-	dirs := sphere.RandomDirections(m, inst.D, seed+int64(m))
-	omega := make([]float64, len(dirs))
-	if err := parallel.For(ctx, inst.Workers, len(dirs), func(k int) {
-		omega[k] = inst.Omega(dirs[k])
-	}); err != nil {
-		return nil, nil, err
-	}
-	inst.scmcMu.Lock()
-	if inst.scmcBlocks == nil {
-		inst.scmcBlocks = make(map[scmcBlockKey]*scmcBlock)
-	}
-	if _, ok := inst.scmcBlocks[key]; !ok {
-		if len(inst.scmcBlocks) >= scmcBlockCap {
-			for k := range inst.scmcBlocks {
-				delete(inst.scmcBlocks, k)
-				break
-			}
-		}
-		inst.scmcBlocks[key] = &scmcBlock{dirs: dirs, omega: omega}
-	}
-	inst.scmcMu.Unlock()
-	return dirs, omega, nil
-}
-
-// scmcSolve builds the set system over the given directions and returns
-// the greedy cover's points (Lines 1–11 of Algorithm 4). Directions whose
-// maximum is nonpositive (impossible on fat instances) are skipped.
-func (inst *Instance) scmcSolve(dirs []geom.Vector, gamma float64) ([]int, error) {
-	return inst.scmcSolveCtx(context.Background(), dirs, gamma)
-}
-
-// scmcSolveCtx is scmcSolve with cooperative cancellation. The per-
-// direction range queries — one exact MIPS plus one inner-product
-// threshold query each — run in parallel, each direction writing its hit
-// list into its own slot; the inversion into per-point sets then walks
-// the slots in direction order and sorts the set owners by point id, so
-// the set system (and hence the greedy cover) is identical for every
-// worker count.
-func (inst *Instance) scmcSolveCtx(ctx context.Context, dirs []geom.Vector, gamma float64) ([]int, error) {
-	return inst.scmcSolveOmega(ctx, dirs, nil, gamma)
-}
-
-// scmcSolveOmega is scmcSolveCtx with optionally precomputed directional
-// maxima (omega[k] = ω(P, dirs[k]); nil computes them inline). The
-// precomputed values are the same exact MIPS answers the inline path
-// produces, so results are bitwise identical either way.
+// scmcHits runs the range queries of Algorithm 4: for each direction u,
+// one exact MIPS for ω(P,u) and one threshold query for the extreme
+// points p with ⟨p,u⟩ ≥ (1−γ)·ω(P,u). Directions run in parallel, each
+// writing its own slot; a direction with no hit (a nonpositive maximum,
+// impossible on fat instances) is dropped, in order, so the result is
+// identical for every worker count.
 //
 // Candidates are restricted to the extreme points: every direction's
 // exact maximizer is extreme and lies in its own γ-approximate set, so a
-// cover over extreme candidates always exists, and the doubling loop
-// revalidates each stage with the exact loss — the restriction never
-// costs correctness. It also keys the whole computation (threshold
-// queries, owner ordering, greedy tie-breaks) to the extreme-point
-// indexing, which is what makes the extreme-point prefilter's work
-// instance produce exactly the same cover as the full instance, and
-// shrinks the range queries from n points to ξ.
-func (inst *Instance) scmcSolveOmega(ctx context.Context, dirs []geom.Vector, omega []float64, gamma float64) ([]int, error) {
-	// Stage 1 (parallel): for each direction, collect the extreme points
-	// within the γ-approximation of the maximum.
+// cover over extreme candidates always exists, and the cut loop's exact
+// oracle vets every cover — the restriction never costs correctness. It
+// also keys the whole computation (threshold queries, owner ordering,
+// greedy tie-breaks) to the extreme-point indexing, which is what makes
+// the extreme-point prefilter's work instance produce exactly the same
+// cover as the full instance, and shrinks the range queries from n
+// points to ξ.
+func (inst *Instance) scmcHits(ctx context.Context, dirs []geom.Vector, gamma float64) ([][]int, error) {
 	hits := make([][]int, len(dirs))
-	skip := make([]bool, len(dirs))
 	bufs := make([][]int, parallel.WorkersFor(inst.Workers, len(dirs)))
 	err := parallel.ForWorker(ctx, inst.Workers, len(dirs), func(w, k int) {
 		u := dirs[k]
-		var wmax float64
-		if omega != nil {
-			wmax = omega[k]
-		} else {
-			wmax = inst.Omega(u)
-		}
+		wmax := inst.Omega(u)
 		if wmax <= 0 {
-			skip[k] = true
 			return
 		}
 		bufs[w] = inst.extTree.AboveThreshold(u, (1-gamma)*wmax, bufs[w][:0])
@@ -241,105 +174,48 @@ func (inst *Instance) scmcSolveOmega(ctx context.Context, dirs []geom.Vector, om
 	if err != nil {
 		return nil, err
 	}
-	// Stage 2 (sequential): compact skipped directions and invert into
-	// per-extreme-point sets in direction order.
-	perPoint := make(map[int][]int)
-	kept := 0
-	for k := range hits {
-		if skip[k] {
-			continue
+	kept := hits[:0]
+	for _, h := range hits {
+		if len(h) > 0 {
+			kept = append(kept, h)
 		}
-		for _, e := range hits[k] {
-			perPoint[e] = append(perPoint[e], kept)
+	}
+	return kept, nil
+}
+
+// scmcCover inverts the hit lists into one set per extreme point — the
+// directions its γ-approximate cell contains, in direction order — and
+// returns the greedy cover's points (Lines 7–11 of Algorithm 4). Every
+// direction has a hit, so the cover is complete.
+func (inst *Instance) scmcCover(hits [][]int) []int {
+	perPoint := make([][]int, inst.Xi())
+	for k, h := range hits {
+		for _, e := range h {
+			perPoint[e] = append(perPoint[e], k)
 		}
-		kept++
-	}
-	if kept == 0 {
-		return nil, nil
-	}
-	owners := make([]int, 0, len(perPoint))
-	for e := range perPoint {
-		owners = append(owners, e)
 	}
 	// Fixed greedy tie-breaking in extreme-point index order, independent
-	// of map order and of the instance's original point numbering.
-	sort.Ints(owners)
-	sets := make([][]int, len(owners))
-	for i, e := range owners {
-		sets[i] = perPoint[e]
+	// of the instance's original point numbering.
+	var owners []int
+	var sets [][]int
+	for e, set := range perPoint {
+		if len(set) > 0 {
+			owners = append(owners, e)
+			sets = append(sets, set)
+		}
 	}
-	chosen, uncovered := setcover.Greedy(kept, sets)
-	if uncovered > 0 {
-		// Cannot happen: every direction's exact maximizer is within any
-		// γ-approximation of itself. Defensive empty return.
-		return nil, nil
-	}
+	chosen, _ := setcover.Greedy(len(hits), sets)
 	out := make([]int, len(chosen))
 	for i, s := range chosen {
 		out[i] = inst.X[owners[s]]
 	}
-	return out, nil
-}
-
-// SCMCAdaptive is the data-dependent sampling improvement sketched at the
-// end of Appendix B: after each stage, new samples are drawn near the
-// "corner" directions where the current solution's loss is largest,
-// rather than uniformly, so fewer total samples are needed to pin down
-// the hard regions. Returns the coreset and total directions used.
-func (inst *Instance) SCMCAdaptive(eps float64, opts SCMCOptions) ([]int, int, error) {
-	if eps <= 0 || eps >= 1 {
-		return nil, 0, fmt.Errorf("core: SCMCAdaptive requires ε ∈ (0,1), got %g", eps)
-	}
-	opts.defaults(eps, inst.D)
-	dirs := sphere.RandomDirections(opts.InitSamples, inst.D, opts.Seed)
-	total := len(dirs)
-	for round := 0; ; round++ {
-		q, err := inst.scmcSolve(dirs, opts.Gamma)
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(q) > 0 && inst.Loss(q) <= eps {
-			return q, total, nil
-		}
-		if total >= opts.MaxSamples {
-			return append([]int(nil), inst.X...), total, nil
-		}
-		// Probe for high-loss corners and densify around them.
-		probe := sphere.RandomDirections(4096, inst.D, opts.Seed+int64(1000+round))
-		losses := inst.LossSampled(q, probe)
-		var corners []geom.Vector
-		for i, l := range losses {
-			if l > eps {
-				corners = append(corners, probe[i])
-			}
-		}
-		grow := len(dirs) / 2
-		if grow < 64 {
-			grow = 64
-		}
-		if len(corners) == 0 {
-			dirs = append(dirs, sphere.RandomDirections(grow, inst.D, opts.Seed+int64(2000+round))...)
-		} else {
-			jrng := sphere.RandomDirections(grow, inst.D, opts.Seed+int64(3000+round))
-			for i := 0; i < grow; i++ {
-				c := corners[i%len(corners)]
-				// Jitter around the corner direction.
-				v := geom.Add(c, jrng[i].Scale(0.15))
-				u, ok := v.Normalize()
-				if !ok {
-					u = c
-				}
-				dirs = append(dirs, u)
-			}
-		}
-		total = len(dirs)
-	}
+	return out
 }
 
 // SCMCExpectedSamples reports the δ-net size Algorithm 4 would need
 // (O(1/δ^{d-1}) with δ = ε/4 and radius αδ/d) — the quantity that makes
-// the literal algorithm impractical in high dimensions and motivates the
-// doubling strategy.
+// the literal algorithm impractical in high dimensions and motivates
+// SCMC's cut generation.
 func (inst *Instance) SCMCExpectedSamples(eps float64) int {
 	radius := inst.Alpha * (eps / 4) / float64(inst.D)
 	return sphere.NetSize(inst.D, math.Max(radius, 1e-9))

@@ -1,7 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"slices"
+	"sync/atomic"
 	"testing"
+
+	"mincore/internal/geom"
+	"mincore/internal/lp"
 )
 
 func TestSCMCValidAcrossDims(t *testing.T) {
@@ -18,6 +25,189 @@ func TestSCMCValidAcrossDims(t *testing.T) {
 			if l := inst.Loss(q); l > eps+1e-9 {
 				t.Fatalf("d=%d ε=%v: SCMC loss %v exceeds ε (|Q|=%d)", d, eps, l, len(q))
 			}
+		}
+	}
+}
+
+// scmcPins are the SCMC coreset sizes the sample-doubling loop returned
+// on fatRandom(n, d, 1000·d+n) with default options, before it was
+// replaced by cut generation. At d=6, n=1500, ε=0.05 doubling gave up and
+// returned all ξ = 343 extreme points.
+var scmcPins = []struct {
+	d, n int
+	eps  float64
+	size int
+}{
+	{2, 400, 0.2, 5}, {2, 400, 0.1, 7}, {2, 400, 0.05, 8},
+	{2, 1500, 0.2, 6}, {2, 1500, 0.1, 6}, {2, 1500, 0.05, 8},
+	{3, 400, 0.2, 18}, {3, 400, 0.1, 24}, {3, 400, 0.05, 29},
+	{3, 1500, 0.2, 19}, {3, 1500, 0.1, 28}, {3, 1500, 0.05, 38},
+	{4, 400, 0.2, 30}, {4, 400, 0.1, 39}, {4, 400, 0.05, 52},
+	{4, 1500, 0.2, 37}, {4, 1500, 0.1, 50}, {4, 1500, 0.05, 75},
+	{5, 400, 0.2, 53}, {5, 400, 0.1, 85}, {5, 400, 0.05, 92},
+	{5, 1500, 0.2, 79}, {5, 1500, 0.1, 140}, {5, 1500, 0.05, 166},
+	{6, 400, 0.2, 91}, {6, 400, 0.1, 121}, {6, 400, 0.05, 140},
+	{6, 1500, 0.2, 128}, {6, 1500, 0.1, 223}, {6, 1500, 0.05, 343},
+}
+
+// TestSCMCGoldenSizes holds SCMC to its pinned sizes: never larger, and
+// the exact loss certifies (LossExact2D in 2D, LossExactLP elsewhere).
+func TestSCMCGoldenSizes(t *testing.T) {
+	insts := map[[2]int]*Instance{}
+	for _, pin := range scmcPins {
+		key := [2]int{pin.d, pin.n}
+		inst := insts[key]
+		if inst == nil {
+			inst = fatRandom(t, pin.n, pin.d, int64(1000*pin.d+pin.n))
+			insts[key] = inst
+		}
+		q, _, err := inst.SCMC(pin.eps, SCMCOptions{})
+		if err != nil {
+			t.Fatalf("d=%d n=%d ε=%v: %v", pin.d, pin.n, pin.eps, err)
+		}
+		if len(q) > pin.size {
+			t.Errorf("d=%d n=%d ε=%v: |Q|=%d above its pin %d", pin.d, pin.n, pin.eps, len(q), pin.size)
+		}
+		var l float64
+		if pin.d == 2 {
+			l = inst.LossExact2D(q)
+		} else {
+			l = inst.LossExactLP(q)
+		}
+		if l > pin.eps+1e-9 {
+			t.Errorf("d=%d n=%d ε=%v: loss %v exceeds ε (|Q|=%d)", pin.d, pin.n, pin.eps, l, len(q))
+		}
+	}
+}
+
+// An owner LP whose dual is infeasible yields a Farkas ray u with
+// ω(Q,u) < 0 < ω(P,u): a direction Q leaves entirely unrepresented.
+func TestOwnerLPFarkasCuts(t *testing.T) {
+	inst := fatRandom(t, 400, 4, 61)
+	// Q on one side of a hyperplane through the origin, so the owners on
+	// the other side see a whole uncovered cone.
+	var qx []geom.Vector
+	for _, p := range inst.ExtPts {
+		if p[0] > 0.3 {
+			qx = append(qx, p)
+		}
+	}
+	var scr lossScratch
+	infeasible := 0
+	for _, owner := range inst.ExtPts {
+		sol, err := scr.lossLPForOwner(owner, qx, inst.D, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != lp.Infeasible {
+			continue
+		}
+		infeasible++
+		u := geom.Vector(sol.Farkas[:inst.D])
+		wq := geom.Dot(qx[0], u)
+		for _, q := range qx[1:] {
+			wq = max(wq, geom.Dot(q, u))
+		}
+		if wp := inst.Omega(u); !(wq < 0 && 0 < wp) {
+			t.Fatalf("Farkas ray %v: ω(Q,u) = %v, ω(P,u) = %v", u, wq, wp)
+		}
+	}
+	if infeasible == 0 {
+		t.Fatal("no infeasible owner LP; test is vacuous")
+	}
+}
+
+// A cut loop seeded with one direction starts from a one-point cover,
+// against which every other owner proves loss 1; the Farkas cuts alone
+// grow it to a certified coreset well below ξ.
+func TestSCMCCutsFromOneDirection(t *testing.T) {
+	inst := fatRandom(t, 600, 4, 67)
+	eps := 0.1
+	seed := []geom.Vector{{1, 0, 0, 0}}
+	hits, err := inst.scmcHits(context.Background(), seed, eps/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1 := inst.scmcCover(hits)
+	if len(q1) != 1 {
+		t.Fatalf("one-direction cover has %d points", len(q1))
+	}
+	vals, cuts, err := inst.ownerLPsCtx(context.Background(), q1, eps, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range vals {
+		if inst.X[k] == q1[0] {
+			continue
+		}
+		if v != 1 || cuts[k] == nil {
+			t.Fatalf("owner %d: loss %v, cut %v; want a loss-1 cut", k, v, cuts[k])
+		}
+		if wq := geom.Dot(inst.Pts[q1[0]], cuts[k]); wq >= 0 {
+			t.Fatalf("owner %d: cut %v does not miss Q (ω(Q,u) = %v)", k, cuts[k], wq)
+		}
+	}
+	q, total, err := inst.scmcCuts(context.Background(), eps, eps/2, seed, scmcRounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total <= 1 || len(q) >= inst.Xi() {
+		t.Fatalf("loop did not converge: |Q|=%d of ξ=%d after %d directions", len(q), inst.Xi(), total)
+	}
+	if l := inst.LossExactLP(q); l > eps+1e-9 {
+		t.Fatalf("loss %v exceeds ε", l)
+	}
+}
+
+// Past the round bound the loop gives up with X, which certifies.
+func TestSCMCRoundBoundGivesUpWithX(t *testing.T) {
+	inst := fatRandom(t, 600, 4, 67)
+	eps := 0.1
+	q, total, err := inst.scmcCuts(context.Background(), eps, eps/2, []geom.Vector{{1, 0, 0, 0}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != 1 || !slices.Equal(q, inst.X) {
+		t.Fatalf("gave up with |Q|=%d after %d directions, want X (ξ=%d)", len(q), total, inst.Xi())
+	}
+	if l, err := inst.LossExactLPCtx(context.Background(), q); err != nil || l != 0 {
+		t.Fatalf("X loss %v (err %v), want 0", l, err)
+	}
+}
+
+// countdownCtx reports cancellation from its n-th Err check on.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A cancellation at any point of the loop — between rounds, inside the
+// range queries or the owner fan-out — surfaces as the context's error,
+// never as a partial coreset.
+func TestSCMCCancelMidLoop(t *testing.T) {
+	inst := fatRandom(t, 1500, 5, 71)
+	inst.Workers = 1
+	probe := &countdownCtx{Context: context.Background()}
+	probe.left.Store(1 << 40)
+	if _, _, err := inst.SCMCCtx(probe, 0.05, SCMCOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	checks := 1<<40 - probe.left.Load()
+	if checks < 8 {
+		t.Fatalf("only %d context checks in a full build", checks)
+	}
+	for _, n := range []int64{0, 1, checks / 3, checks / 2, checks - 2} {
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.left.Store(n)
+		if q, _, err := inst.SCMCCtx(ctx, 0.05, SCMCOptions{}); !errors.Is(err, context.Canceled) || q != nil {
+			t.Fatalf("cancel after %d of %d checks: |Q|=%d, err %v", n, checks, len(q), err)
 		}
 	}
 }
@@ -61,9 +251,6 @@ func TestSCMCRejectsBadEps(t *testing.T) {
 	if _, _, err := inst.SCMCNet(-0.1, 0, SCMCOptions{}); err == nil {
 		t.Fatal("negative ε should error")
 	}
-	if _, _, err := inst.SCMCAdaptive(2, SCMCOptions{}); err == nil {
-		t.Fatal("ε=2 should error")
-	}
 }
 
 func TestSCMCGammaTradeoff(t *testing.T) {
@@ -83,21 +270,6 @@ func TestSCMCGammaTradeoff(t *testing.T) {
 		if l := inst.LossExactLP(q); l > eps+1e-9 {
 			t.Fatalf("γ-variant invalid: loss %v", l)
 		}
-	}
-}
-
-func TestSCMCAdaptiveValidAndNoLarger(t *testing.T) {
-	inst := fatRandom(t, 500, 4, 37)
-	eps := 0.1
-	q, total, err := inst.SCMCAdaptive(eps, SCMCOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l := inst.LossExactLP(q); l > eps+1e-9 {
-		t.Fatalf("adaptive loss %v exceeds ε", l)
-	}
-	if total <= 0 {
-		t.Fatal("no samples recorded")
 	}
 }
 

@@ -154,6 +154,10 @@ type Solver struct {
 	warmOK    bool
 	warmTol   float64
 
+	// optimal records whether the last solve ended Optimal with a
+	// tableau behind it, the precondition of Multipliers.
+	optimal bool
+
 	// Per-solve scratch reused across calls.
 	y, rc, c1 []float64 // simplex multipliers, reduced costs, phase-1 cost
 	gm, gz    []float64 // canonical-extraction system (m×m) and rhs
@@ -171,6 +175,7 @@ func NewSolver() *Solver { return &Solver{} }
 // (see the canonical-extraction note), modulo the SkipFarkas and ReuseX
 // opt-ins.
 func (s *Solver) Solve(p *Problem) Solution {
+	s.optimal = false
 	if p.err != nil {
 		if obs.On() {
 			mSolves.Inc()
@@ -217,7 +222,8 @@ func (s *Solver) Solve(p *Problem) Solution {
 		s.structGen = p.structGen
 		st = s.solveCold()
 	}
-	s.warmOK = st == Optimal && !t.artificialBasic()
+	s.optimal = st == Optimal
+	s.warmOK = s.optimal && !t.artificialBasic()
 	if obs.On() {
 		mSolves.Inc()
 		mPivots.Add(uint64(t.pivots))
@@ -801,6 +807,74 @@ func (s *Solver) extractCanonical() []float64 {
 	return x
 }
 
+// Multipliers returns the simplex multipliers of the last solve, one per
+// constraint in insertion order, or nil unless that solve was Optimal.
+// They are the optimal solution π of the LP dual, in the caller's
+// orientation: for a minimization over Ax = b, π maximizes bᵀπ subject to
+// aⱼᵀπ ≤ cⱼ on nonnegative variables and aⱼᵀπ = cⱼ on free ones; for a
+// maximization the inequalities flip and π minimizes. Either way bᵀπ
+// equals Solution.Value.
+//
+// They are read on demand from the canonical basis — π solves Bᵀπ = c_B
+// over the sorted basis columns of the pristine initial system — so, like
+// the extracted primal, they depend only on the basis and the original
+// data: warm and cold solves that end at the same basis return bitwise-
+// identical multipliers, and solves that never ask pay nothing. dst is
+// reused when its capacity suffices. A numerically singular basis system
+// (never produced by a successful simplex run) also reports nil.
+func (s *Solver) Multipliers(dst []float64) []float64 {
+	if !s.optimal {
+		return nil
+	}
+	t := &s.t
+	m := t.m
+	sb := s.sortedBasis()
+	gm := growF(s.gm, m*m)
+	s.gm = gm
+	gz := growF(s.gz, m)
+	s.gz = gz
+	for k, col := range sb {
+		for r := 0; r < m; r++ {
+			gm[k*m+r] = t.a0[r*t.nTotal+col]
+		}
+		gz[k] = t.c[col]
+	}
+	if !solveDense(gm, gz, m) {
+		return nil
+	}
+	// The tableau minimizes with rows sign-fixed to b ≥ 0: undo both.
+	sign := 1.0
+	if s.p.maximize {
+		sign = -1
+	}
+	dst = growF(dst, m)
+	for r := range dst {
+		dst[r] = sign * t.rowSign[r] * gz[r]
+	}
+	return dst
+}
+
+// sortedBasis returns the basis columns in ascending order, in solver
+// scratch.
+func (s *Solver) sortedBasis() []int {
+	t := &s.t
+	sb := growI(s.sb, t.m)
+	s.sb = sb
+	copy(sb, t.basis)
+	// Insertion sort: m is small (≤ ~a dozen rows for every LP in the
+	// repo) and this avoids the interface boxing of the sort package.
+	for i := 1; i < len(sb); i++ {
+		v := sb[i]
+		j := i - 1
+		for j >= 0 && sb[j] > v {
+			sb[j+1] = sb[j]
+			j--
+		}
+		sb[j+1] = v
+	}
+	return sb
+}
+
 // canonicalBasis performs the basis re-solve behind canonical
 // extraction: B·z = b₀ over the sorted basis columns against the
 // pristine initial system. It returns parallel slices (columns, values)
@@ -812,20 +886,7 @@ func (s *Solver) extractCanonical() []float64 {
 func (s *Solver) canonicalBasis() ([]int, []float64) {
 	t := &s.t
 	m := t.m
-	sb := growI(s.sb, m)
-	s.sb = sb
-	copy(sb, t.basis)
-	// Insertion sort: m is small (≤ ~a dozen rows for every LP in the
-	// repo) and this avoids the interface boxing of the sort package.
-	for i := 1; i < m; i++ {
-		v := sb[i]
-		j := i - 1
-		for j >= 0 && sb[j] > v {
-			sb[j+1] = sb[j]
-			j--
-		}
-		sb[j+1] = v
-	}
+	sb := s.sortedBasis()
 	gm := growF(s.gm, m*m)
 	s.gm = gm
 	gz := growF(s.gz, m)

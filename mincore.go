@@ -411,7 +411,7 @@ func (c *Coreseter) Coreset(eps float64, algo Algorithm) (*Coreset, error) {
 }
 
 // CoresetCtx is Coreset with cooperative cancellation: ctx is propagated
-// into the parallel hot paths (dominance-graph LPs, SCMC stages, loss
+// into the parallel hot paths (dominance-graph LPs, SCMC cut rounds, loss
 // validation) and into every repair attempt, so a long build stops
 // within a few LP solves of ctx being cancelled and returns its error.
 //
@@ -616,10 +616,9 @@ func sameIndices(a, b []int) bool {
 
 // CoresetSweep builds certified coresets for a ladder of ε values in one
 // batch, sharing the ε-independent substrate across the ladder: the
-// dominance graph (DSMC) is built once up front, SCMC's direction
-// samples and per-direction maxima are memoized on the instance, and
-// results land in the build cache, so overlapping sweeps and later
-// single builds reuse them. Probes run in parallel on the Coreseter's
+// dominance graph (DSMC) is built once up front and results land in the
+// build cache, so overlapping sweeps and later single builds reuse them.
+// SCMC keeps no substrate: its cut loop grows a per-ε direction set. Probes run in parallel on the Coreseter's
 // worker budget. Results are returned in epsList order and are bitwise
 // identical to individual CoresetCtx calls at the same ε. Per-ε failures
 // are joined into the returned error; successful entries remain filled.

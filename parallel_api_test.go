@@ -47,14 +47,17 @@ func sameCoreset(t *testing.T, label string, a, b *mincore.Coreset) {
 
 // TestWorkerCountDeterminism is the acceptance check of the parallel
 // layer: coreset indices and measured losses must be bitwise identical
-// for Workers=1 and Workers=8 on every algorithm and dimension.
+// for Workers=1 and Workers=8 on every algorithm and dimension. The d=5,
+// ε=0.02 case runs SCMC's cut loop through several rounds.
 func TestWorkerCountDeterminism(t *testing.T) {
 	cases := []struct {
 		n, d int
+		eps  float64
 	}{
-		{1500, 2},
-		{1200, 3},
-		{900, 4},
+		{1500, 2, 0.1},
+		{1200, 3, 0.1},
+		{900, 4, 0.1},
+		{5000, 5, 0.02},
 	}
 	for _, tc := range cases {
 		pts := gaussianPoints(tc.n, tc.d, 11)
@@ -71,8 +74,8 @@ func TestWorkerCountDeterminism(t *testing.T) {
 			algos = append(algos, mincore.OptMC)
 		}
 		for _, algo := range algos {
-			q1, err1 := cs1.Coreset(0.1, algo)
-			q8, err8 := cs8.Coreset(0.1, algo)
+			q1, err1 := cs1.Coreset(tc.eps, algo)
+			q8, err8 := cs8.Coreset(tc.eps, algo)
 			if err1 != nil || err8 != nil {
 				t.Fatalf("d=%d %s: errors %v / %v", tc.d, algo, err1, err8)
 			}
@@ -133,25 +136,34 @@ func TestCoresetCtxPreCancelled(t *testing.T) {
 }
 
 // TestCoresetCtxCancelMidBuild cancels during the dominance-graph build
-// — thousands of LP solves — and requires the deadline error to surface.
-// A cancelled build must not poison the cache: a later call with a live
-// context must succeed.
+// — thousands of LP solves — and during SCMC's cut loop, and requires the
+// deadline error to surface. A cancelled build must not poison the cache:
+// a later call with a live context must succeed.
 func TestCoresetCtxCancelMidBuild(t *testing.T) {
-	cs, err := mincore.New(gaussianPoints(4000, 4, 9), mincore.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	if _, err := cs.CoresetCtx(ctx, 0.1, mincore.DSMC); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	q, err := cs.Coreset(0.1, mincore.DSMC)
-	if err != nil {
-		t.Fatalf("retry after cancelled build: %v", err)
-	}
-	if q.Loss > 0.1+1e-6 {
-		t.Fatalf("retry loss %v", q.Loss)
+	for _, tc := range []struct {
+		n, d int
+		eps  float64
+		algo mincore.Algorithm
+	}{
+		{4000, 4, 0.1, mincore.DSMC},
+		{5000, 5, 0.02, mincore.SCMC},
+	} {
+		cs, err := mincore.New(gaussianPoints(tc.n, tc.d, 9), mincore.WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		if _, err := cs.CoresetCtx(ctx, tc.eps, tc.algo); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want context.DeadlineExceeded", tc.algo, err)
+		}
+		cancel()
+		q, err := cs.Coreset(tc.eps, tc.algo)
+		if err != nil {
+			t.Fatalf("%s: retry after cancelled build: %v", tc.algo, err)
+		}
+		if q.Loss > tc.eps+1e-6 {
+			t.Fatalf("%s: retry loss %v", tc.algo, q.Loss)
+		}
 	}
 }
 

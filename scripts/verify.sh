@@ -114,12 +114,15 @@ GOMAXPROCS=4 go test -race -count=1 \
 # Raw speed: the warm-start/prefilter determinism contract under the
 # race detector — the pooled, warm-started dominance-graph build and the
 # prefiltered work instance must reproduce the cold/unfiltered results
-# bit for bit across worker counts — then the allocation-regression
-# gates, run plain because race instrumentation inflates alloc counts
-# (the gate files are excluded via //go:build !race).
-echo "== raw speed (warm-start determinism, prefilter exactness, alloc gates)"
+# bit for bit across worker counts — and SCMC's cut loop: multiplier and
+# Farkas cut readouts, the pinned sizes, the round bound, cancellation
+# mid-loop, and bitwise determinism at ε = 0.02; then the
+# allocation-regression gates, run plain because race instrumentation
+# inflates alloc counts (the gate files are excluded via //go:build
+# !race).
+echo "== raw speed (warm-start determinism, prefilter exactness, SCMC cuts, alloc gates)"
 GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter' . ./internal/core/ ./internal/lp/
+    -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
 go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs' ./internal/lp/ ./internal/core/
 
 echo "verify: OK"
