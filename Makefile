@@ -127,8 +127,11 @@ bench-speed:
 # round bound, cancellation, worker-count determinism) under the race
 # detector, then the allocation-regression gates (plain — race
 # instrumentation inflates alloc counts, and the gate files are built
-# with //go:build !race).
+# with //go:build !race), then the Clarkson scan's pinned extreme-point
+# sequences, brute-force reference and screen yield stop (plain — the
+# scan is sequential).
 speed:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
 	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs' ./internal/lp/ ./internal/core/
+	$(GO) test -count=1 -run 'TestExtremePointsPinned|TestExtremePointsMatchBrute|TestScreenYield' ./internal/hull/

@@ -39,8 +39,8 @@ func FuzzNewCoreset(f *testing.F) {
 	f.Add(aniso, uint16(900), uint8(1))
 
 	f.Fuzz(func(t *testing.T, data []byte, epsRaw uint16, dRaw uint8) {
-		d := 1 + int(dRaw)%3                          // 1..3
-		eps := (float64(epsRaw%999) + 0.5) / 1000.0   // (0,1)
+		d := 1 + int(dRaw)%3                        // 1..3
+		eps := (float64(epsRaw%999) + 0.5) / 1000.0 // (0,1)
 		coords := len(data) / 8
 		n := coords / d
 		if n < 1 {

@@ -160,11 +160,11 @@ func Climate(n int, seed int64) Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]geom.Vector, n)
 	for i := range pts {
-		lat := rng.Float64()*2 - 1                // −1 pole … +1 equator proxy
-		base := 15*lat + 5                        // annual mean
-		amp := (1 - math.Abs(lat)) * 5            // seasonal amplitude shrinks at equator? inverted below
-		cont := rng.NormFloat64() * 6             // continentality: larger swings inland
-		amp = 10 + math.Abs(cont) - amp           // net seasonal swing
+		lat := rng.Float64()*2 - 1      // −1 pole … +1 equator proxy
+		base := 15*lat + 5              // annual mean
+		amp := (1 - math.Abs(lat)) * 5  // seasonal amplitude shrinks at equator? inverted below
+		cont := rng.NormFloat64() * 6   // continentality: larger swings inland
+		amp = 10 + math.Abs(cont) - amp // net seasonal swing
 		noise := func() float64 { return rng.NormFloat64() * 2 }
 		winter := base - amp + noise()
 		spring := base - amp*0.2 + noise()
@@ -211,10 +211,10 @@ func Colors(n int, seed int64) Dataset {
 	pts := make([]geom.Vector, n)
 	for i := range pts {
 		p := geom.NewVector(9)
-		bright := rng.Float64()               // scene brightness
+		bright := rng.Float64()                   // scene brightness
 		colorful := rng.Float64() * rng.Float64() // saturation, skewed low
-		warm := rng.NormFloat64() * 0.2       // warm/cool channel balance
-		texture := rng.Float64()              // busyness → spread & skew
+		warm := rng.NormFloat64() * 0.2           // warm/cool channel balance
+		texture := rng.Float64()                  // busyness → spread & skew
 		for ch := 0; ch < 3; ch++ {
 			chShift := warm * float64(ch-1) // R up, B down for warm scenes
 			noise := func() float64 { return rng.NormFloat64() * 0.02 }

@@ -4,27 +4,18 @@ import "mincore/internal/geom"
 
 // Gilbert's algorithm (the distance sub-routine of GJK) computes the point
 // of conv(S) nearest to a query p by Frank–Wolfe iterations with optimal
-// line search. It serves as the fast pre-test in Clarkson's extreme-point
-// loop: deep-interior queries converge to distance ≈ 0 in a few
-// iterations, and far-outside queries produce a separating direction that
-// is verified by a single exact support scan. Only the ambiguous boundary
-// band falls through to the exact LP.
+// line search. It serves as the fast pre-test of Clarkson's exact
+// containment test: far-outside queries produce a separating direction
+// that is verified by a single exact support scan; everything else falls
+// through to the exact LP.
 
-// gilbertResult classifies a containment query.
-type gilbertResult int
-
-const (
-	gilbertInside  gilbertResult = iota // certified p ∈ conv(S) within tol
-	gilbertOutside                      // certified outside; sep direction valid
-	gilbertUnknown                      // inconclusive; caller must use the LP
-)
-
-// gilbert runs at most maxIter Frank–Wolfe steps. On gilbertOutside the
-// returned direction u satisfies ⟨p,u⟩ > max_{s∈S} ⟨s,u⟩ (verified
-// exactly). tol is the geometric slack under which p counts as inside.
-func gilbert(p geom.Vector, s []geom.Vector, tol float64, maxIter int) (gilbertResult, geom.Vector) {
+// gilbert runs at most maxIter Frank–Wolfe steps. It returns a unit
+// direction u with ⟨p,u⟩ > max_{s∈S} ⟨s,u⟩ + tol (verified exactly), or
+// nil when it certified none: p is inside within tol, close to the
+// boundary, or the budget ran out.
+func gilbert(p geom.Vector, s []geom.Vector, maxIter int) geom.Vector {
 	if len(s) == 0 {
-		return gilbertOutside, geom.AxisVector(len(p), 0, 1)
+		return geom.AxisVector(len(p), 0, 1)
 	}
 	// Start from the support point in direction p (good initial guess).
 	i0, _ := geom.MaxDot(s, p)
@@ -33,7 +24,7 @@ func gilbert(p geom.Vector, s []geom.Vector, tol float64, maxIter int) (gilbertR
 		dir := geom.Sub(p, x)
 		dn := dir.Norm()
 		if dn <= tol {
-			return gilbertInside, nil
+			return nil
 		}
 		// Support point of S in direction (p − x).
 		j, sup := geom.MaxDot(s, dir)
@@ -42,12 +33,10 @@ func gilbert(p geom.Vector, s []geom.Vector, tol float64, maxIter int) (gilbertR
 		gap := sup - geom.Dot(x, dir)
 		if gap <= 1e-12+1e-9*dn {
 			// Verify the separation exactly before certifying.
-			u := dir.Scale(1 / dn)
-			_, smax := geom.MaxDot(s, u)
-			if geom.Dot(p, u) > smax+tol {
-				return gilbertOutside, u
+			if u := dir.Scale(1 / dn); separates(p, s, u) {
+				return u
 			}
-			return gilbertUnknown, nil
+			return nil
 		}
 		// Optimal step toward s[j]: minimize ‖p − ((1−t)x + t s_j)‖².
 		w := geom.Sub(s[j], x)
@@ -57,60 +46,9 @@ func gilbert(p geom.Vector, s []geom.Vector, tol float64, maxIter int) (gilbertR
 		} else if t > 0 {
 			x = geom.Add(x, w.Scale(t))
 		} else {
-			return gilbertUnknown, nil // no progress; numerical corner
+			return nil // no progress; numerical corner
 		}
 	}
 	// Iteration budget exhausted: close to the boundary, defer to the LP.
-	if geom.Sub(p, x).Norm() <= tol {
-		return gilbertInside, nil
-	}
-	return gilbertUnknown, nil
-}
-
-// inSimplex reports whether p lies in the simplex spanned by the d+1
-// vertices (given as rows), within tolerance tol on the barycentric
-// coordinates. ok=false when the simplex is degenerate. This is the
-// cheap O(d²)-per-query interior filter applied before the Clarkson loop.
-type simplexTester struct {
-	inv  *geom.Matrix // inverse of the (d+1)×(d+1) homogeneous vertex matrix
-	d    int
-	ok   bool
-	vert []geom.Vector
-}
-
-func newSimplexTester(vertices []geom.Vector) *simplexTester {
-	if len(vertices) == 0 {
-		return &simplexTester{ok: false}
-	}
-	d := vertices[0].Dim()
-	if len(vertices) != d+1 {
-		return &simplexTester{ok: false}
-	}
-	m := geom.NewMatrix(d+1, d+1)
-	for j, v := range vertices {
-		for i := 0; i < d; i++ {
-			m.Set(i, j, v[i])
-		}
-		m.Set(d, j, 1)
-	}
-	inv, ok := m.Invert()
-	return &simplexTester{inv: inv, d: d, ok: ok, vert: vertices}
-}
-
-// contains reports whether p is inside the simplex with barycentric slack
-// tol (tol < 0 shrinks the simplex, guaranteeing strict interiority).
-func (st *simplexTester) contains(p geom.Vector, tol float64) bool {
-	if !st.ok {
-		return false
-	}
-	h := make(geom.Vector, st.d+1)
-	copy(h, p)
-	h[st.d] = 1
-	lam := st.inv.MulVec(h)
-	for _, l := range lam {
-		if l < -tol {
-			return false
-		}
-	}
-	return true
+	return nil
 }

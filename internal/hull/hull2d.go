@@ -1,5 +1,5 @@
 // Package hull computes convex hulls and extreme-point sets: Andrew's
-// monotone chain in 2D, a randomized incremental hull for small 3D sets
+// monotone chain in 2D, an incremental hull for small 3D sets
 // (used for exact IPDG edges), and Clarkson's output-sensitive LP-based
 // extreme-point algorithm in arbitrary fixed dimension. Together these
 // replace the Qhull dependency of the paper's implementation.

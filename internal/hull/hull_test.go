@@ -3,21 +3,113 @@ package hull
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"mincore/internal/data"
 	"mincore/internal/geom"
+	"mincore/internal/lp"
+	"mincore/internal/obs"
 	"mincore/internal/sphere"
 )
 
-// bruteExtreme finds hull vertices by definition: p is extreme iff some
-// direction makes it the unique maximum. Testing all directions is
-// impossible, so instead we use the LP-free equivalent for small sets:
-// p is extreme iff p ∉ conv(P∖{p}), checked by dense direction sampling
-// plus exact 2D/containment fallbacks. For tests we use the dual brute
-// force: enumerate all (d)-subsets defining candidate support
-// hyperplanes... that is overkill; instead we validate via cross-checks
-// between the implementations and via invariant properties.
+// bruteExtreme finds the extreme points by definition, one cold LP per
+// point: p is extreme iff it is not a convex combination of the other
+// points, i.e. iff the containment LP of p against P∖{p} is infeasible.
+// The result is in ascending index order.
+func bruteExtreme(t testing.TB, pts []geom.Vector) []int {
+	t.Helper()
+	var ext []int
+	for i, p := range pts {
+		others := make([]geom.Vector, 0, len(pts)-1)
+		others = append(others, pts[:i]...)
+		others = append(others, pts[i+1:]...)
+		switch st := containmentLP(p, others).Solve().Status; st {
+		case lp.Infeasible:
+			ext = append(ext, i)
+		case lp.Optimal:
+		default:
+			t.Fatalf("brute containment LP of point %d: %v", i, st)
+		}
+	}
+	return ext
+}
+
+// TestExtremePointsMatchBrute holds ExtremePoints to the definition on
+// small inputs in d 3–6: the same set as bruteExtreme, so no interior
+// point is reported and no vertex is missed.
+func TestExtremePointsMatchBrute(t *testing.T) {
+	for _, d := range []int{3, 4, 5, 6} {
+		for _, in := range []pinnedInput{
+			{"normal", data.Normal(300, d, int64(d)).Points},
+			{"uniform", data.Uniform(300, d, int64(d)).Points},
+			{"shell", sphereShell(200, d, int64(d))},
+		} {
+			x := mustExtremePoints(t, in.pts)
+			sort.Ints(x)
+			want := bruteExtreme(t, in.pts)
+			if !slices.Equal(x, want) {
+				t.Errorf("d=%d %s: ExtremePoints ξ=%d, brute force ξ=%d\ngot  %v\nwant %v",
+					d, in.name, len(x), len(want), x, want)
+			}
+		}
+	}
+}
+
+// TestScreenYield checks the interior screen's counts: it certifies at
+// most what it solves, certifies most points of a cloud, and on an
+// all-extreme shell, where nothing certifies, the yield stop ends the
+// screening after screenMinSolves solves. With observability on, a scan
+// publishes exactly these counts.
+func TestScreenYield(t *testing.T) {
+	for _, d := range []int{3, 5} {
+		pts := data.Normal(5000, d, 1).Points
+		_, st := clarkson(pts, 1)
+		if st.screenCertified > st.screenSolves {
+			t.Errorf("d=%d: certified %d > solves %d", d, st.screenCertified, st.screenSolves)
+		}
+		if 2*st.screenCertified < st.screenSolves || st.exactTests >= st.screenCertified {
+			t.Errorf("d=%d: low yield: %d of %d screens certified, %d exact tests",
+				d, st.screenCertified, st.screenSolves, st.exactTests)
+		}
+	}
+
+	shell := sphereShell(400, 4, 11)
+	x, st := clarkson(shell, 1)
+	if len(x) != len(shell) {
+		t.Fatalf("shell: ξ=%d, want %d", len(x), len(shell))
+	}
+	if st.screenSolves != screenMinSolves || st.screenCertified != 0 {
+		t.Errorf("shell: %d screens, %d certified; want the yield stop after %d, none certified",
+			st.screenSolves, st.screenCertified, screenMinSolves)
+	}
+
+	// The stop's boundary: exactly half certified keeps screening, and one
+	// more miss ends it for the rest of the scan.
+	sc := newScreen([]geom.Vector{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
+	in, out := geom.Vector{0.1, 0.2, 0.3}, geom.Vector{1, 1, 1}
+	for k := 0; k < screenMinSolves/2; k++ {
+		if !sc.inside(in) || sc.inside(out) {
+			t.Fatalf("screen %d: simplex interior not certified or exterior certified", sc.solves)
+		}
+	}
+	if sc.inside(out) || sc.inside(in) || sc.solves != screenMinSolves+1 {
+		t.Errorf("after %d of %d certified, then a miss: %d solves, want the stop at %d",
+			screenMinSolves/2, screenMinSolves, sc.solves, screenMinSolves+1)
+	}
+
+	if !obs.On() {
+		obs.Enable()
+		defer obs.Disable()
+	}
+	before := [3]uint64{mScreenSolves.Value(), mScreenCertified.Value(), mExactTests.Value()}
+	mustExtremePoints(t, shell)
+	got := [3]uint64{mScreenSolves.Value() - before[0], mScreenCertified.Value() - before[1], mExactTests.Value() - before[2]}
+	if want := [3]uint64{uint64(st.screenSolves), uint64(st.screenCertified), uint64(st.exactTests)}; got != want {
+		t.Errorf("published (solves, certified, exact) = %v, want %v", got, want)
+	}
+}
 
 func squarePlus(inner int, rng *rand.Rand) []geom.Vector {
 	pts := []geom.Vector{{1, 1}, {1, -1}, {-1, -1}, {-1, 1}}
@@ -196,26 +288,7 @@ func TestClarksonMatchesHull2DLifted(t *testing.T) {
 func TestClarksonCubeCorners(t *testing.T) {
 	// Cube corners plus interior points in d=4: exactly the 16 corners are
 	// extreme.
-	rng := rand.New(rand.NewSource(6))
-	var pts []geom.Vector
-	for mask := 0; mask < 16; mask++ {
-		v := geom.NewVector(4)
-		for b := 0; b < 4; b++ {
-			if mask&(1<<b) != 0 {
-				v[b] = 1
-			} else {
-				v[b] = -1
-			}
-		}
-		pts = append(pts, v)
-	}
-	for i := 0; i < 200; i++ {
-		v := geom.NewVector(4)
-		for b := range v {
-			v[b] = rng.Float64()*1.6 - 0.8
-		}
-		pts = append(pts, v)
-	}
+	pts := cubeCorners()
 	x := mustExtremePoints(t, pts)
 	if len(x) != 16 {
 		t.Fatalf("extremes = %d want 16: %v", len(x), x)
@@ -254,12 +327,7 @@ func TestClarksonEveryDirectionMaxIsExtreme(t *testing.T) {
 
 func TestClarksonSphereShell(t *testing.T) {
 	// Points on a sphere are all extreme.
-	rng := rand.New(rand.NewSource(8))
-	pts := make([]geom.Vector, 100)
-	for i := range pts {
-		pts[i] = sphere.RandomDirection(rng, 3)
-	}
-	x := mustExtremePoints(t, pts)
+	x := mustExtremePoints(t, sphereShell(100, 3, 8))
 	if len(x) != 100 {
 		t.Fatalf("on-sphere extremes = %d want 100", len(x))
 	}
@@ -361,13 +429,12 @@ func TestExtremePointsEmpty(t *testing.T) {
 
 func TestGilbertInsideOutside(t *testing.T) {
 	s := []geom.Vector{{0, 0}, {2, 0}, {0, 2}}
-	res, _ := gilbert(geom.Vector{0.3, 0.3}, s, 1e-9, 200)
-	if res == gilbertOutside {
+	if u := gilbert(geom.Vector{0.3, 0.3}, s, 200); u != nil {
 		t.Fatal("interior point classified outside")
 	}
-	res, u := gilbert(geom.Vector{3, 3}, s, 1e-9, 200)
-	if res != gilbertOutside {
-		t.Fatalf("far point not outside: %v", res)
+	u := gilbert(geom.Vector{3, 3}, s, 200)
+	if u == nil {
+		t.Fatal("far point not outside")
 	}
 	// Certificate must separate.
 	pu := geom.Dot(geom.Vector{3, 3}, u)
@@ -378,29 +445,8 @@ func TestGilbertInsideOutside(t *testing.T) {
 	}
 }
 
-func TestSimplexTester(t *testing.T) {
-	st := newSimplexTester([]geom.Vector{{0, 0}, {1, 0}, {0, 1}})
-	if !st.ok {
-		t.Fatal("tester not ok")
-	}
-	if !st.contains(geom.Vector{0.2, 0.2}, 0) {
-		t.Fatal("interior point rejected")
-	}
-	if st.contains(geom.Vector{0.9, 0.9}, 0) {
-		t.Fatal("exterior point accepted")
-	}
-	// Degenerate simplex.
-	bad := newSimplexTester([]geom.Vector{{0, 0}, {1, 1}, {2, 2}})
-	if bad.ok {
-		t.Fatal("degenerate simplex accepted")
-	}
-}
-
 func TestClarksonDuplicatePoints(t *testing.T) {
-	pts := []geom.Vector{
-		{1, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {-1, -1, -1}, {0.1, 0.1, 0.1},
-	}
-	x := mustExtremePoints(t, pts)
+	x := mustExtremePoints(t, duplicatePoints())
 	// Exactly one copy of the duplicate pair may be reported; the interior
 	// point must not be.
 	for _, i := range x {

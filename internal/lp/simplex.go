@@ -35,11 +35,11 @@ import (
 // perturbation).
 
 const (
-	pivotTol   = 1e-9  // entries below this are treated as zero pivots
-	feasTol    = 1e-7  // phase-1 objective below this means feasible
-	reducedTol = 1e-9  // reduced costs above −reducedTol are optimal
-	blandAfter = 5000  // switch from Dantzig to Bland after this many pivots
-	iterFactor = 200   // iteration cap = iterFactor · (m + n) + 10000
+	pivotTol   = 1e-9 // entries below this are treated as zero pivots
+	feasTol    = 1e-7 // phase-1 objective below this means feasible
+	reducedTol = 1e-9 // reduced costs above −reducedTol are optimal
+	blandAfter = 5000 // switch from Dantzig to Bland after this many pivots
+	iterFactor = 200  // iteration cap = iterFactor · (m + n) + 10000
 
 	// ratioTieRel scales the ratio-test tie tolerance relative to the
 	// incumbent ratio. An absolute 1e-12 slack mis-breaks ties once
@@ -67,7 +67,7 @@ const (
 )
 
 type tableau struct {
-	m, n  int       // constraint rows, structural+slack columns (no artificials)
+	m, n  int         // constraint rows, structural+slack columns (no artificials)
 	a     [][]float64 // m row views into aback, each nTotal long
 	aback []float64   // flat m×nTotal backing
 	b     []float64   // rhs, kept ≥ 0

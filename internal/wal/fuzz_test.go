@@ -43,11 +43,11 @@ func realSegment(t interface{ Fatalf(string, ...interface{}) }) []byte {
 func FuzzWALDecode(f *testing.F) {
 	seg := realSegment(f)
 	f.Add(seg)
-	f.Add(seg[:headerSize])                 // header only
-	f.Add(seg[:len(seg)-5])                 // torn tail
-	f.Add(seg[:headerSize/2])               // torn header
-	f.Add([]byte{})                         // empty
-	f.Add([]byte("MCWL"))                   // magic only
+	f.Add(seg[:headerSize])                                   // header only
+	f.Add(seg[:len(seg)-5])                                   // torn tail
+	f.Add(seg[:headerSize/2])                                 // torn header
+	f.Add([]byte{})                                           // empty
+	f.Add([]byte("MCWL"))                                     // magic only
 	f.Add(append(append([]byte{}, seg...), 0xff, 0x00, 0xff)) // garbage tail
 	mut := append([]byte{}, seg...)
 	mut[headerSize+3] ^= 0x40 // hostile record length

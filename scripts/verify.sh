@@ -18,6 +18,10 @@ go build -C perfbench ./...
 echo "== go vet ./..."
 go vet ./...
 
+# Formatting: gofmt must have nothing to rewrite anywhere in the tree.
+echo "== gofmt -l ."
+test -z "$(gofmt -l .)" || { gofmt -l .; exit 1; }
+
 echo "== go test -race ./..."
 go test -race ./...
 
@@ -119,10 +123,15 @@ GOMAXPROCS=4 go test -race -count=1 \
 # mid-loop, and bitwise determinism at ε = 0.02; then the
 # allocation-regression gates, run plain because race instrumentation
 # inflates alloc counts (the gate files are excluded via //go:build
-# !race).
-echo "== raw speed (warm-start determinism, prefilter exactness, SCMC cuts, alloc gates)"
+# !race); then the Clarkson scan's pinned extreme-point sequences (the
+# interior screen must leave every index and its order unchanged) with
+# the brute-force reference and the screen's yield stop, also plain:
+# the scan is sequential, and the race detector makes its 20k-point
+# inputs ~15x slower.
+echo "== raw speed (warm-start determinism, prefilter exactness, SCMC cuts, alloc gates, hull pins)"
 GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
 go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs' ./internal/lp/ ./internal/core/
+go test -count=1 -run 'TestExtremePointsPinned|TestExtremePointsMatchBrute|TestScreenYield' ./internal/hull/
 
 echo "verify: OK"
