@@ -34,11 +34,14 @@ faults:
 	done
 
 # Seeded kill/restore chaos matrix: crash the ingest service mid-stream
-# under injected snapshot I/O faults and worker panics, then check the
-# recovered coreset's directional loss stays within 2ε. The WAL leg
-# kills at randomized crash points (mid-append, post-append-pre-ack,
-# post-ack, post-truncation) and asserts zero acknowledged-point loss
-# with the recovered summary byte-identical to an uninterrupted run.
+# under injected snapshot write/fsync/read faults and worker panics; with
+# its write-ahead log on, every restart — including a read fault's
+# fallback to the older generation — must restore exactly the
+# acknowledged log position, and the recovered coreset's directional
+# loss must stay within 2ε. The WAL leg kills at randomized crash points
+# (mid-append, post-append-pre-ack, post-ack, post-compaction) and
+# asserts zero acknowledged-point loss with the recovered summary
+# byte-identical to an uninterrupted run.
 # Set MINCORE_CHAOS_SEED=n to replay one schedule.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaosKillRestoreMatrix' -v .
@@ -52,7 +55,7 @@ wal:
 	$(GO) test -race -count=1 ./internal/wal/
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$$' ./internal/wal/
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'TestChaosWAL|TestServeWAL|TestTenantWALRecoveryLadder' .
+		-run 'TestChaosWAL|TestServeWAL|TestTenantWAL' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'TestParseWALConfig|TestGracefulShutdownDrains|TestIngestStorageUnavailableHTTP|TestWALMetricFamilies' ./cmd/mcserve/
 

@@ -2,13 +2,16 @@ package mincore
 
 // Chaos test for the durable ingest service: a seeded kill/restore
 // matrix that crashes the service at random stream positions while
-// snapshot write, fsync, and read faults are injected, then replays the
-// stream tail from the recovered offset (the producer contract). After
-// every round of abuse the recovered summary must stay a valid
-// mergeable sketch whose measured directional loss is within twice the
-// sketch's ε target — the streaming bound of the paper's §1.1 kernel —
-// and no panic may escape the supervisor (an escaped panic kills the
-// test process outright).
+// snapshot write, fsync, and read faults are injected and poison
+// batches panic its workers. The service keeps a write-ahead log synced
+// every batch, so every restart — after a kill, a clean close, or a
+// read fault that forces the fallback to the older generation — must
+// restore exactly the acknowledged log position, and the producer never
+// replays. The recovered summary must stay a valid mergeable sketch
+// whose measured directional loss is within twice the sketch's ε target
+// — the streaming bound of the paper's §1.1 kernel — and no panic may
+// escape the supervisor (an escaped panic kills the test process
+// outright).
 //
 // Run a single cell of the matrix with MINCORE_CHAOS_SEED=n; `make
 // chaos` runs the full matrix under the race detector.
@@ -70,14 +73,15 @@ func chaosRun(t *testing.T, seed int64) {
 	path := filepath.Join(t.TempDir(), "chaos.snap")
 
 	var panicsInjected, panicsRecovered, kills, failedCkpts int64
-	pos := 0 // durable stream position across crashes
-	for round := 0; pos < len(pts); round++ {
+	next := 0  // the next stream point the producer sends
+	acked := 0 // acknowledged log position: every point Feed accepted
+	for round := 0; next < len(pts); round++ {
 		svc, err := NewIngestService(chaosOptions(path))
 		if err != nil {
 			t.Fatalf("round %d: restart after crash: %v", round, err)
 		}
-		if got := svc.RestoredPoints(); got != pos {
-			t.Fatalf("round %d: restored position %d, last durable %d", round, got, pos)
+		if got := svc.RestoredPoints(); got != acked {
+			t.Fatalf("round %d: restored position %d, acknowledged %d", round, got, acked)
 		}
 		svc.panicHook = func(p []float64) {
 			if p[0] == chaosPoisonX {
@@ -85,26 +89,29 @@ func chaosRun(t *testing.T, seed int64) {
 			}
 		}
 
-		// Replay everything past the durable position, then advance: the
-		// at-least-once producer contract. Duplicated replay is harmless —
-		// maxima ignore duplicates.
-		stop := pos + 1 + rng.Intn(len(pts)-pos)
-		for lo := pos; lo < stop; lo += 97 {
+		// Advance the stream; every acknowledged batch moves the log
+		// position, poison batches included.
+		stop := next + 1 + rng.Intn(len(pts)-next)
+		for lo := next; lo < stop; lo += 97 {
 			hi := min(lo+97, stop)
 			if err := svc.Feed(pts[lo:hi]...); err != nil {
-				t.Fatalf("round %d: replay feed [%d:%d): %v", round, lo, hi, err)
+				t.Fatalf("round %d: feed [%d:%d): %v", round, lo, hi, err)
 			}
+			acked += hi - lo
 			if rng.Intn(4) == 0 {
 				// A poison batch: the marker leads, so the recovered panic
 				// drops the whole batch — only harmless duplicates ride
-				// behind it and the stream position stays uncontaminated.
+				// behind it. It is in the log, so restore replays it: the
+				// marker is no champion, and the duplicates change nothing.
 				panicsInjected++
 				if err := svc.Feed(Point{chaosPoisonX, 0}, pts[lo], pts[lo]); err != nil {
 					t.Fatalf("round %d: poison feed: %v", round, err)
 				}
+				acked += 3
 			}
 		}
-		drainChaos(t, svc, stop-pos)
+		drainChaos(t, svc, stop-next)
+		next = stop
 
 		// Checkpoint under injected write/fsync faults: a torn or failed
 		// save must leave the previous durable generation intact.
@@ -132,13 +139,11 @@ func chaosRun(t *testing.T, seed int64) {
 		} else if err != nil {
 			t.Fatalf("round %d: checkpoint: %v", round, err)
 		}
-		pos = stop
 
 		panicsRecovered += svc.Stats().WorkerPanics
-		if rng.Intn(2) == 0 && pos < len(pts) {
-			// Crash: queued batches and everything since the checkpoint
-			// above would be lost — here the checkpoint just ran, so the
-			// durable position is exactly pos.
+		if rng.Intn(2) == 0 && next < len(pts) {
+			// Crash: batches still queued are lost from memory but not
+			// from the log.
 			svc.Kill()
 			kills++
 		} else if err := svc.Close(); err != nil {
@@ -146,7 +151,9 @@ func chaosRun(t *testing.T, seed int64) {
 		}
 
 		// Sometimes the next restart's first read is also faulty: the
-		// loader must fall back to the intact previous generation.
+		// loader must fall back to the intact previous generation, and
+		// the log, which reaches back to it, replays to the same
+		// acknowledged position.
 		if rng.Intn(3) == 0 {
 			faultinject.Enable(faultinject.Config{Seed: seed ^ int64(round), Rate: 1,
 				Times: 1, Sites: []faultinject.Site{faultinject.SiteSnapshotRead}})
@@ -162,28 +169,24 @@ func chaosRun(t *testing.T, seed int64) {
 					t.Fatalf("round %d: restart under read fault: %v", round, err)
 				}
 			} else {
-				// Fallback may regress a generation, never past a durable
-				// one. pos stays at the current generation: the probe is
-				// killed, and the next healthy restart reads the intact
-				// current file.
-				if got := probe.RestoredPoints(); got > pos {
-					t.Fatalf("round %d: fallback restored %d > durable %d", round, got, pos)
+				if got := probe.RestoredPoints(); got != acked {
+					t.Fatalf("round %d: fallback restored %d, acknowledged %d", round, got, acked)
 				}
 				probe.Kill()
 			}
 		}
 	}
 
-	// Final recovery: restore, replay the tail once more, and measure.
+	// Final recovery: the whole stream was acknowledged, so the restore
+	// holds all of it without any producer replay.
 	svc, err := NewIngestService(chaosOptions(path))
 	if err != nil {
 		t.Fatalf("final restart: %v", err)
 	}
 	defer svc.Kill()
-	if err := svc.Feed(pts[svc.RestoredPoints():]...); err != nil {
-		t.Fatalf("final replay: %v", err)
+	if got := svc.RestoredPoints(); got != acked {
+		t.Fatalf("final restored position %d, acknowledged %d", got, acked)
 	}
-	drainChaos(t, svc, len(pts)-svc.RestoredPoints())
 
 	ss, err := svc.Summary()
 	if err != nil {
@@ -213,9 +216,9 @@ func chaosRun(t *testing.T, seed int64) {
 // tenant directories are corrupted (garbage manifest, torn current
 // snapshot, both snapshot generations destroyed) and the registry must
 // still boot and serve the rest — a torn current generation falls back
-// to the previous one (no quarantine), truly unrecoverable-at-startup
-// state quarantines only that tenant, and RecoverTenant brings each sick
-// tenant back in place, after which a full replay reproduces the
+// to the previous one plus the log (no quarantine, no loss), truly
+// unrecoverable-at-startup state quarantines only that tenant, and
+// RecoverTenant brings each sick tenant back in place, serving the
 // pre-crash coresets byte for byte.
 func TestChaosFleetCorruption(t *testing.T) {
 	root := t.TempDir()
@@ -223,6 +226,9 @@ func TestChaosFleetCorruption(t *testing.T) {
 		Dim: 2, Eps: chaosEps, Seed: 7,
 		SnapshotDir:        root,
 		CheckpointInterval: -1, // checkpoints driven explicitly
+		// One segment per fed half: the final checkpoint's compaction
+		// through the half-stream generation drops the first half.
+		WAL: &WALConfig{SegmentBytes: 1024},
 	}
 	reg, err := NewTenantRegistry(opts)
 	if err != nil {
@@ -314,18 +320,19 @@ func TestChaosFleetCorruption(t *testing.T) {
 	}
 
 	// A torn current generation is not a quarantine: the loader falls
-	// back to the previous generation and the tail replays.
+	// back to the previous generation, and the log, which each
+	// checkpoint compacts only through the older generation, replays the
+	// rest — the whole acknowledged stream, with no producer replay.
 	tnt, err := reg.Tenant("torn-current")
 	if err != nil {
 		t.Fatalf("torn-current quarantined, want prev-generation fallback: %v", err)
 	}
-	if got := tnt.Service().RestoredPoints(); got != half {
-		t.Fatalf("torn-current restored %d points, want prev generation's %d", got, half)
+	if got := tnt.Service().RestoredPoints(); got != full {
+		t.Fatalf("torn-current restored %d points, want all %d", got, full)
 	}
-	if err := tnt.Feed(streams["torn-current"][half:]...); err != nil {
-		t.Fatalf("torn-current replay: %v", err)
+	if got := tnt.Service().ReplayedPoints(); got != full-half {
+		t.Fatalf("torn-current replayed %d points from the log, want %d past the prev generation", got, full-half)
 	}
-	drainChaos(t, tnt.Service(), half)
 	q, err := tnt.Coreset(context.Background(), 0.1, Auto)
 	if err != nil {
 		t.Fatalf("torn-current coreset: %v", err)
@@ -368,8 +375,9 @@ func TestChaosFleetCorruption(t *testing.T) {
 	}
 	assertSameCoreset(t, "bad-manifest", reference["bad-manifest"], q)
 
-	// Both generations destroyed: the ladder bottoms out at a stream
-	// reset, and the producer's full replay reproduces the coreset.
+	// Both generations destroyed, and the log no longer reaches back to
+	// position 0: the ladder bottoms out at a stream reset, and the
+	// producer's full replay reproduces the coreset.
 	tnt, step, err = reg.RecoverTenant("dead-snapshot")
 	if err != nil {
 		t.Fatalf("recover dead-snapshot: %v", err)

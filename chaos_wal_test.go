@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -27,11 +28,14 @@ import (
 
 	"mincore/internal/faultinject"
 	"mincore/internal/snapshot"
+	"mincore/internal/stream"
+	"mincore/internal/wal"
 )
 
-// walChaosOptions is chaosOptions plus a per-batch-synced WAL. A single
-// ingest worker keeps batch application order deterministic so the
-// byte-identity assertion is exact, not just champion-equivalent.
+// walChaosOptions is chaosOptions with a per-batch-synced WAL that
+// rotates often. A single ingest worker keeps batch application order
+// deterministic so the byte-identity assertion is exact, not just
+// champion-equivalent.
 func walChaosOptions(dir string) ServeOptions {
 	return ServeOptions{
 		Dim: 2, Eps: chaosEps, Seed: 7,
@@ -152,9 +156,9 @@ func walCrashRun(t *testing.T, seed int64) {
 			acked += n
 			attempted = acked
 			if mode == 3 && rng.Intn(8) == 0 {
-				// Mid-truncate leg: checkpoint (which truncates the log
-				// through the saved position) and keep feeding, so the
-				// eventual kill lands on a freshly truncated log.
+				// Mid-truncate leg: checkpoint (which compacts the log
+				// through the older generation) and keep feeding, so the
+				// eventual kill lands on a freshly compacted log.
 				drainChaos(t, svc, acked-restored)
 				if err := svc.Checkpoint(); err != nil {
 					t.Fatalf("round %d: checkpoint: %v", round, err)
@@ -311,11 +315,132 @@ func TestServeWALStorageUnavailable(t *testing.T) {
 	}
 }
 
+// TestServeWALUpgradeFromSnapshotOnly pins the upgrade path from a
+// snapshot directory without a log, which a build that kept no log for
+// a SnapshotPath left behind: with the default WAL settings the service
+// restores the generation, starts a fresh log at its position, and from
+// then on loses no acknowledged point.
+func TestServeWALUpgradeFromSnapshotOnly(t *testing.T) {
+	opts := walChaosOptions(t.TempDir())
+	opts.WAL = nil // the snapshot-only configuration: nil means the default log
+	pts := servePoints(600, 8080)
+	const n = 250
+
+	// The old build's checkpoint: a generation at n, and no wal/.
+	old := opts
+	old.SnapshotPath = ""
+	oldSvc, err := NewIngestService(old)
+	if err != nil {
+		t.Fatalf("snapshot-only service: %v", err)
+	}
+	if err := oldSvc.Feed(pts[:n]...); err != nil {
+		t.Fatalf("feed: %v", err)
+	}
+	drainChaos(t, oldSvc, n)
+	sum, err := oldSvc.mergedSummary()
+	oldSvc.Kill()
+	if err != nil {
+		t.Fatalf("merged summary: %v", err)
+	}
+	if _, err := snapshot.NewStore(opts.SnapshotPath).Save(sum); err != nil {
+		t.Fatalf("save generation: %v", err)
+	}
+	if _, err := os.Stat(WALDir(opts.SnapshotPath)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("log directory before the upgrade: %v", err)
+	}
+
+	svc, err := NewIngestService(opts)
+	if err != nil {
+		t.Fatalf("upgrade start: %v", err)
+	}
+	if got := svc.RestoredPoints(); got != n {
+		t.Fatalf("restored position %d, want the generation's %d", got, n)
+	}
+	if svc.wal == nil {
+		t.Fatal("no write-ahead log opened under the snapshot path")
+	}
+	svc.walMu.Lock()
+	oldest, last := svc.wal.OldestSeq(), svc.wal.LastSeq()
+	svc.walMu.Unlock()
+	if oldest != n || last != n {
+		t.Fatalf("fresh log spans [%d, %d), want it aligned at %d", oldest, last, n)
+	}
+	for lo := n; lo < len(pts); lo += 25 {
+		if err := svc.Feed(pts[lo:min(lo+25, len(pts))]...); err != nil {
+			t.Fatalf("feed at %d: %v", lo, err)
+		}
+	}
+	acked := len(pts)
+	svc.Kill()
+
+	svc2, err := NewIngestService(opts)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer svc2.Close()
+	restored := svc2.RestoredPoints()
+	if restored < acked {
+		t.Fatalf("restored position %d lost acknowledged points (acked %d)", restored, acked)
+	}
+	if got, want := walSummaryBytes(t, svc2), walReferenceBytes(t, pts, restored); !bytes.Equal(got, want) {
+		t.Fatalf("recovered summary at %d differs from an uninterrupted run", restored)
+	}
+}
+
+// TestServeWALSiblingSnapshotPathsRefused pins the one-log-per-directory
+// rule. The log lives in wal/ next to the snapshot, so a second snapshot
+// path in the same directory must fail at startup, both while the first
+// service runs and after it crashed, instead of replaying or removing
+// the first stream's log; the first stream then restores in full.
+func TestServeWALSiblingSnapshotPathsRefused(t *testing.T) {
+	dir := t.TempDir()
+	optsA := walChaosOptions(dir)
+	optsA.WAL = nil
+	optsA.SnapshotPath = filepath.Join(dir, "a.snap")
+	optsB := optsA
+	optsB.SnapshotPath = filepath.Join(dir, "b.snap")
+	pts := servePoints(300, 8181)
+
+	a, err := NewIngestService(optsA)
+	if err != nil {
+		t.Fatalf("first service: %v", err)
+	}
+	for lo := 0; lo < len(pts); lo += 25 {
+		if err := a.Feed(pts[lo : lo+25]...); err != nil {
+			t.Fatalf("feed at %d: %v", lo, err)
+		}
+	}
+	for _, o := range []ServeOptions{optsB, optsA} {
+		if _, err := NewIngestService(o); !errors.Is(err, wal.ErrDirInUse) {
+			t.Fatalf("start on %s while the first runs: %v, want wal.ErrDirInUse", o.SnapshotPath, err)
+		}
+	}
+	a.Kill()
+
+	if _, err := NewIngestService(optsB); !errors.Is(err, wal.ErrDirInUse) {
+		t.Fatalf("sibling start after the first crashed: %v, want wal.ErrDirInUse", err)
+	}
+	if err := wal.Remove(WALDir(optsB.SnapshotPath), filepath.Base(optsB.SnapshotPath)); !errors.Is(err, wal.ErrDirInUse) {
+		t.Fatalf("sibling removal of the log: %v, want wal.ErrDirInUse", err)
+	}
+	a2, err := NewIngestService(optsA)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer a2.Close()
+	if got := a2.RestoredPoints(); got != len(pts) {
+		t.Fatalf("restored position %d, want every acknowledged point (%d)", got, len(pts))
+	}
+	if got, want := walSummaryBytes(t, a2), walReferenceBytes(t, pts, len(pts)); !bytes.Equal(got, want) {
+		t.Fatal("recovered summary differs from an uninterrupted run")
+	}
+}
+
 // TestTenantWALGenerationGapQuarantined pins the snapshot/log
-// contiguity check: when the restore lands on a generation OLDER than
-// the log's oldest record — a torn current generation falls back to
-// ".prev" after a checkpoint already truncated the log through the
-// newer position — the acknowledged points between the two exist in
+// contiguity check. Checkpoints compact the log only through the older
+// generation, but a build that compacted it through the newer one
+// leaves a log that a torn current generation's fallback to ".prev"
+// cannot reach: the acknowledged points between the two exist in
 // neither half of the durable pair. The tenant must quarantine as
 // wal_unusable (never silently replay across the hole and report the
 // log's end as the restored position), and recovery must drop the log
@@ -346,8 +471,7 @@ func TestTenantWALGenerationGapQuarantined(t *testing.T) {
 		}
 	}
 	// Two checkpoints build two generations: prev at 200, current at
-	// 400; the second truncates the log through 400. Then 100 more
-	// acked points land only in the log (400..500).
+	// 400. Then 100 more acked points land only in the log (400..500).
 	feed(0, 200)
 	drainChaos(t, tnt.Service(), 200)
 	if err := tnt.Checkpoint(); err != nil {
@@ -362,10 +486,33 @@ func TestTenantWALGenerationGapQuarantined(t *testing.T) {
 	drainChaos(t, tnt.Service(), 500)
 	tnt.Service().Kill()
 
-	// Tear the current generation so Load falls back to prev (200); the
-	// log's oldest record starts at 400: points 200..400 are gone.
+	// Tear the current generation so Load falls back to prev (200), and
+	// drop every log segment at or below 400, as compaction through the
+	// current generation would have: points 200..400 are gone.
 	if err := os.WriteFile(filepath.Join(root, "gap", snapshotFile), []byte("torn mid-write"), 0o644); err != nil {
 		t.Fatalf("tear current generation: %v", err)
+	}
+	segs, err := filepath.Glob(filepath.Join(WALDir(filepath.Join(root, "gap", snapshotFile)), "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	for _, seg := range segs {
+		raw, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, end, _, err := wal.DecodeSegment(raw, 2); err != nil {
+			t.Fatalf("decode %s: %v", seg, err)
+		} else if end <= 400 {
+			if err := os.Remove(seg); err != nil {
+				t.Fatal(err)
+			}
+			dropped++
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no log segment ends at or below 400; nothing to compact away")
 	}
 
 	reg2, err := NewTenantRegistry(opts)
@@ -504,5 +651,118 @@ func TestTenantWALRecoveryLadder(t *testing.T) {
 	}
 	if got := tnt.Service().ReplayedPoints(); got != 600 {
 		t.Fatalf("dead-snapshot replayed %d points, want 600", got)
+	}
+}
+
+// TestServeWALCheckpointIsLogPrefix pins the position a checkpoint
+// records. With several ingest workers, batches finish out of log
+// order, so a generation saved at position n is sound only if it holds
+// every point of the log prefix [0, n): restoring it and replaying the
+// log from n must reproduce an uninterrupted run. Single-point feeds
+// race Checkpoint to make the reordering frequent; each generation is
+// checked as if the service crashed right after saving it, and a final
+// Kill checks the real restore path.
+func TestServeWALCheckpointIsLogPrefix(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			for run := int64(0); run < 20; run++ {
+				checkpointPrefixRun(t, workers, run)
+			}
+		})
+	}
+}
+
+func checkpointPrefixRun(t *testing.T, workers int, run int64) {
+	opts := walChaosOptions(t.TempDir())
+	opts.IngestWorkers = workers
+	opts.WAL = &WALConfig{Sync: WALSyncOff} // a fast feeder races harder
+	// Point i lies on direction i mod m of the net, a little farther out
+	// than every point before it, so it is that direction's champion
+	// until point i+m arrives: a missing point younger than m shows in
+	// the summary, and checkpoints trail the log by far less than m.
+	const m = 256
+	opts.Directions = m
+	svc, err := NewIngestService(opts)
+	if err != nil {
+		t.Fatalf("service: %v", err)
+	}
+	defer svc.Kill()
+	pts := make([]Point, 16*m)
+	for i := range pts {
+		th := 2 * math.Pi * float64(i%m) / m
+		r := 1 + 1e-7*float64(i)
+		pts[i] = Point{r * math.Cos(th), r * math.Sin(th)}
+	}
+	acked := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { acked <- n }()
+		for n < len(pts) {
+			err := svc.Feed(pts[n])
+			if errors.Is(err, ErrOverloaded) {
+				continue
+			}
+			if err != nil {
+				return // the service was killed under a failing test
+			}
+			n++
+		}
+	}()
+
+	encode := func(s *stream.Summary) []byte {
+		var buf bytes.Buffer
+		if err := snapshot.Encode(&buf, s, snapshot.Meta{}); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		return buf.Bytes()
+	}
+	// ref is the uninterrupted run, advanced as the log grows.
+	ref := stream.NewSummary(svc.opts.Directions, opts.Dim, opts.Seed)
+	refN := 0
+	n := -1
+	for c := 0; n < 0; c++ {
+		select {
+		case n = <-acked: // one last checkpoint after the feeder is done
+		default:
+		}
+		if err := svc.Checkpoint(); err != nil {
+			t.Fatalf("run %d checkpoint %d: %v", run, c, err)
+		}
+		svc.walMu.Lock()
+		end := int(svc.wal.LastSeq())
+		svc.walMu.Unlock()
+		gen, _, err := snapshot.NewStore(opts.SnapshotPath).Load()
+		if err != nil {
+			t.Fatalf("run %d: load generation %d: %v", run, c, err)
+		}
+		at := gen.N()
+		// Restore as a crash right now would: the generation plus the
+		// log's records past its position.
+		for _, p := range pts[at:end] {
+			gen.Add(p)
+		}
+		for ; refN < end; refN++ {
+			ref.Add(pts[refN])
+		}
+		if !bytes.Equal(encode(gen), encode(ref)) {
+			t.Fatalf("run %d checkpoint %d: generation at position %d plus the log to %d differs from an uninterrupted run",
+				run, c, at, end)
+		}
+	}
+	svc.Kill()
+
+	svc2, err := NewIngestService(opts)
+	if err != nil {
+		t.Fatalf("run %d: restart: %v", run, err)
+	}
+	defer svc2.Kill()
+	if got := svc2.RestoredPoints(); got != n {
+		t.Fatalf("run %d: restored position %d, acknowledged %d", run, got, n)
+	}
+	for ; refN < n; refN++ {
+		ref.Add(pts[refN])
+	}
+	if !bytes.Equal(walSummaryBytes(t, svc2), encode(ref)) {
+		t.Fatalf("run %d: restored summary at %d differs from an uninterrupted run", run, n)
 	}
 }

@@ -56,15 +56,17 @@
 // request_too_large, deadline_exceeded, service_closed, uncertified,
 // internal.
 //
-// Durability: with -snapshot-dir set, -wal-sync selects the per-tenant
-// write-ahead-log policy — "batch" (default: a 202 ingest ack means the
-// batch is fsynced), "off" (log without fsync), a duration like "25ms"
-// (group commit), or "none" (no WAL; the legacy checkpoint-window
-// contract). A failing log refuses ingest with 503 storage_unavailable
-// rather than acking points it cannot keep. On SIGTERM/SIGINT the
-// server stops admitting work, drains in-flight requests and builds
-// under -drain-timeout, writes a final checkpoint and WAL sync for
-// every tenant, and exits 0.
+// Durability: with -snapshot-dir (or -snapshot) set, every tenant keeps
+// a write-ahead log in a wal/ directory next to its snapshots, so a
+// -snapshot file needs a directory of its own; -wal-sync selects the
+// log's sync policy —
+// "batch" (default: a 202 ingest ack means the batch is fsynced), "off"
+// (log without fsync), or a duration like "25ms" (group commit). A
+// failing log refuses ingest with 503 storage_unavailable rather than
+// acking points it cannot keep. On SIGTERM/SIGINT the server stops
+// admitting work, drains in-flight requests and builds under
+// -drain-timeout, writes a final checkpoint and WAL sync for every
+// tenant, and exits 0.
 //
 // Degraded-mode serving: with -stale-max-age / -stale-max-points-behind
 // set, a failed fresh build (overload, uncertified, deadline, watchdog
@@ -121,7 +123,7 @@ func main() {
 	staleMaxAge := flag.Duration("stale-max-age", 0, "serve the last certified coreset (marked stale) when a fresh build fails, if at most this old (0 = stale serving off)")
 	staleBehind := flag.Int("stale-max-points-behind", 0, "additional stale-serving bound: max stream points the fallback may lag (0 = unbounded; needs -stale-max-age)")
 	maxBody := flag.Int64("max-body-bytes", 8<<20, "largest accepted request body in bytes (413 beyond it)")
-	walSync := flag.String("wal-sync", "batch", `write-ahead-log durability for snapshotted tenants: "batch" (fsync before acking), "off" (log without fsync), a group-commit window like "25ms", or "none" (no WAL)`)
+	walSync := flag.String("wal-sync", "batch", `write-ahead-log sync policy for durable tenants: "batch" (fsync before acking), "off" (log without fsync), or a group-commit window like "25ms"`)
 	walSegBytes := flag.Int64("wal-segment-bytes", 4<<20, "write-ahead-log segment rotation threshold in bytes")
 	traceRetain := flag.Int("trace-retain", 64, "retained traces per tenant per ring (anomaly and sampled-normal rings each; 0 = tracing off)")
 	traceSample := flag.Int("trace-sample", 1, "keep 1 of every N normal (non-anomalous) traces; anomalies are always retained")
@@ -234,14 +236,11 @@ func main() {
 }
 
 // parseWALConfig maps the -wal-sync / -wal-segment-bytes flags onto the
-// library's WALConfig: "none" disables the log entirely (nil config),
-// "batch" and "off" select the named policies, and any parseable
-// duration selects group commit with that window.
+// library's WALConfig: "batch" and "off" select the named policies, and
+// any positive duration selects group commit with that window.
 func parseWALConfig(sync string, segBytes int64) (*mincore.WALConfig, error) {
 	cfg := &mincore.WALConfig{SegmentBytes: segBytes}
 	switch sync {
-	case "none":
-		return nil, nil
 	case "batch", "":
 		cfg.Sync = mincore.WALSyncEveryBatch
 	case "off":
@@ -249,7 +248,7 @@ func parseWALConfig(sync string, segBytes int64) (*mincore.WALConfig, error) {
 	default:
 		d, err := time.ParseDuration(sync)
 		if err != nil || d <= 0 {
-			return nil, fmt.Errorf(`-wal-sync %q: want "batch", "off", "none", or a positive duration`, sync)
+			return nil, fmt.Errorf(`-wal-sync %q: want "batch", "off", or a positive duration`, sync)
 		}
 		cfg.Sync = mincore.WALSyncInterval
 		cfg.SyncInterval = d

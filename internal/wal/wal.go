@@ -30,6 +30,10 @@
 // partially skips a straddling record, making at-least-once replay
 // effectively-once and the restored stream position exact.
 //
+// The directory also holds a LOCK file that Open flocks for the log's
+// lifetime and stamps with its Owner, so one directory never carries
+// two streams (see ErrDirInUse).
+//
 // A decode failure at the tail of the newest segment — a short frame, a
 // CRC mismatch, a sequence discontinuity — is a torn tail: Open
 // truncates the file back to the last valid record and continues. The
@@ -85,6 +89,12 @@ const (
 	DefaultSegmentBytes = 4 << 20
 )
 
+// ErrDirInUse marks a log directory that Open and Remove refuse because
+// another live log holds its lock, or because its lock file records a
+// different owner. Either way a second stream would mix its records
+// into this one's log, so the caller must fail rather than recover.
+var ErrDirInUse = errors.New("wal: log directory in use")
+
 // ErrBadLog marks a log that cannot be opened or replayed: a segment
 // header with the wrong magic, a future version, parameters that do not
 // match the stream, or a hole (sequence discontinuity) in the middle of
@@ -135,6 +145,11 @@ type Options struct {
 	// segment can be matched to its stream.
 	Directions int
 	Seed       int64
+	// Owner names the stream the directory belongs to; the ingest
+	// service passes its snapshot file's base name. Open records it in
+	// the directory's lock file on first use and refuses a directory
+	// recorded for another owner.
+	Owner string
 	// SegmentBytes is the rotation threshold; DefaultSegmentBytes when
 	// zero or negative.
 	SegmentBytes int64
@@ -186,6 +201,7 @@ type Log struct {
 	segments []segment // sealed segments, oldest first
 	active   segment
 	f        *os.File
+	lock     *os.File // holds the directory lock until Close or Abandon
 
 	nextSeq   uint64 // stream position after the last appended record
 	syncedSeq uint64 // position after the last record fsynced
@@ -195,9 +211,10 @@ type Log struct {
 	closed    bool
 }
 
-// Open scans dir, repairs a torn tail on the newest segment, and
-// returns a log positioned after the last valid record. A missing or
-// empty dir is a fresh log at sequence 0.
+// Open locks dir, scans it, repairs a torn tail on the newest segment,
+// and returns a log positioned after the last valid record. A missing or
+// empty dir is a fresh log at sequence 0. A directory another live log
+// holds, or one recorded for another Owner, fails with ErrDirInUse.
 func Open(opts Options) (*Log, error) {
 	if opts.Dim <= 0 {
 		return nil, fmt.Errorf("wal: dimension must be positive, got %d", opts.Dim)
@@ -211,12 +228,71 @@ func Open(opts Options) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{opts: opts}
+	lock, err := lockDir(opts.Dir, opts.Owner)
+	if err != nil {
+		return nil, err
+	}
+	l := &Log{opts: opts, lock: lock}
 	if err := l.scan(); err != nil {
+		lock.Close()
 		return nil, err
 	}
 	l.lastSync = opts.Now()
 	return l, nil
+}
+
+// lockName is the lock file inside a log directory. It is not a
+// segment: scans skip it.
+const lockName = "LOCK"
+
+// lockDir opens dir's lock file and takes its exclusive lock, so two
+// live logs never append to one directory. The first owner to lock the
+// directory is recorded in the file; a later owner with another name
+// is refused, which keeps a stream from replaying a log that a sibling
+// snapshot path left behind. A log directory from a build without the
+// lock file is adopted by its first owner.
+func lockDir(dir, owner string) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, lockName), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	ok, err := tryLock(f)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %s is held by another open log", ErrDirInUse, dir)
+	}
+	if err == nil {
+		err = claim(f, dir, owner)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// claim checks the owner recorded in the lock file f, recording owner
+// when the file is still empty.
+func claim(f *os.File, dir, owner string) error {
+	got, err := io.ReadAll(f)
+	if err != nil {
+		return err
+	}
+	switch string(got) {
+	case owner:
+		return nil
+	case "":
+		if _, err := f.WriteAt([]byte(owner), 0); err != nil {
+			return err
+		}
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		syncDir(dir)
+		return nil
+	default:
+		return fmt.Errorf("%w: %s belongs to %q, not %q — each snapshot path needs a directory of its own",
+			ErrDirInUse, dir, got, owner)
+	}
 }
 
 // segmentName returns the file name for a segment starting at baseSeq.
@@ -825,6 +901,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	defer l.lock.Close()
 	if l.f == nil {
 		return nil
 	}
@@ -851,11 +928,23 @@ func (l *Log) Abandon() {
 		l.f.Close()
 		l.f = nil
 	}
+	l.lock.Close()
 }
 
 // Remove deletes the log's directory and every segment in it — the
-// tenant-deletion and reset paths. The log must not be used afterward.
-func Remove(dir string) error {
+// tenant-deletion and reset paths. It takes the directory lock first,
+// so it fails with ErrDirInUse while a live log holds the directory or
+// when the directory is recorded for an owner other than owner. A
+// missing directory is not an error.
+func Remove(dir, owner string) error {
+	lock, err := lockDir(dir, owner)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	defer lock.Close()
 	if err := os.RemoveAll(dir); err != nil {
 		return err
 	}

@@ -532,6 +532,68 @@ func TestWALMidRotateCrash(t *testing.T) {
 	}
 }
 
+// TestWALDirectoryLockAndOwner pins the one-log-per-directory guard: a
+// second Open of a live directory and an Open by another owner both fail
+// with ErrDirInUse, and so does Remove; Close and Abandon release the
+// lock; a directory without a lock file, as a build without the lock
+// left it, is adopted by its first owner.
+func TestWALDirectoryLockAndOwner(t *testing.T) {
+	opts := testOpts(t)
+	opts.Owner = "a.snap"
+	other := opts
+	other.Owner = "b.snap"
+	l, err := Open(opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if _, err := l.Append(mkBatch(0, 3)); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if _, err := Open(opts); !errors.Is(err, ErrDirInUse) {
+		t.Fatalf("second open of a live directory: %v, want ErrDirInUse", err)
+	}
+	if err := Remove(opts.Dir, opts.Owner); !errors.Is(err, ErrDirInUse) {
+		t.Fatalf("remove of a live directory: %v, want ErrDirInUse", err)
+	}
+	l.Abandon()
+
+	if _, err := Open(other); !errors.Is(err, ErrDirInUse) {
+		t.Fatalf("open by another owner: %v, want ErrDirInUse", err)
+	}
+	if err := Remove(other.Dir, other.Owner); !errors.Is(err, ErrDirInUse) {
+		t.Fatalf("remove by another owner: %v, want ErrDirInUse", err)
+	}
+	l2, err := Open(opts)
+	if err != nil {
+		t.Fatalf("reopen after Abandon: %v", err)
+	}
+	if l2.LastSeq() != 3 {
+		t.Fatalf("reopened log ends at %d, want 3", l2.LastSeq())
+	}
+	l2.Close()
+
+	if err := os.Remove(filepath.Join(opts.Dir, lockName)); err != nil {
+		t.Fatalf("remove lock file: %v", err)
+	}
+	l3, err := Open(other)
+	if err != nil {
+		t.Fatalf("adopt a log without a lock file: %v", err)
+	}
+	if l3.LastSeq() != 3 {
+		t.Fatalf("adopted log ends at %d, want 3", l3.LastSeq())
+	}
+	l3.Close()
+	if err := Remove(other.Dir, other.Owner); err != nil {
+		t.Fatalf("remove by the owner: %v", err)
+	}
+	if _, err := os.Stat(other.Dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("log directory survived Remove: %v", err)
+	}
+	if err := Remove(other.Dir, other.Owner); err != nil {
+		t.Fatalf("remove of a missing directory: %v", err)
+	}
+}
+
 func TestWALMidTruncateCrash(t *testing.T) {
 	opts := testOpts(t)
 	opts.SegmentBytes = 150
@@ -558,11 +620,11 @@ func TestWALMidTruncateCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen mid-truncate: %v", err)
 	}
-	defer l2.Close()
 	if l2.OldestSeq() != segs[1].baseSeq || l2.LastSeq() != 24 {
 		t.Fatalf("mid-truncate OldestSeq %d LastSeq %d, want %d/24",
 			l2.OldestSeq(), l2.LastSeq(), segs[1].baseSeq)
 	}
+	l2.Close()
 	// A hole in the MIDDLE is corruption, not truncation: removing a
 	// non-prefix segment must refuse to open.
 	if err := os.Remove(segs[2].path); err != nil {

@@ -37,17 +37,22 @@ done
 
 # Durability: seeded kill/restore chaos matrix — crash-and-recover the
 # ingest service under injected snapshot I/O faults and worker panics;
-# the recovered coreset must keep its 2ε loss bound.
+# with the write-ahead log on, every restart must restore exactly the
+# acknowledged log position (a read fault's fallback to the older
+# generation included), and the recovered coreset must keep its 2ε loss
+# bound.
 echo "== chaos kill/restore matrix"
 go test -race -count=1 -run 'TestChaosKillRestoreMatrix' .
 
 # Write-ahead log: the segment codec, torn-tail repair, and crash-point
 # matrix under the race detector, then the serve-level contract — with
 # per-batch sync no acknowledged point is ever lost across randomized
-# kills (mid-append, post-append-pre-ack, post-ack, post-truncation) and
+# kills (mid-append, post-append-pre-ack, post-ack, post-compaction) and
 # the recovered summary is byte-identical to an uninterrupted run; a
-# failing log refuses ingest with ErrStorageUnavailable instead of
-# acking; graceful shutdown checkpoints and syncs every tenant.
+# checkpoint racing several ingest workers saves a true log prefix; a
+# snapshot-only directory upgrades onto a fresh log; a failing log
+# refuses ingest with ErrStorageUnavailable instead of acking; graceful
+# shutdown checkpoints and syncs every tenant.
 echo "== write-ahead log (crash points, zero acked-point loss)"
 go test -race -count=1 ./internal/wal/
 GOMAXPROCS=4 go test -race -count=1 \

@@ -24,22 +24,21 @@ import (
 // The supervised long-running ingest mode. An IngestService owns a
 // sharded streaming summary (one shard per ingest worker — summaries are
 // mergeable, so shards compose exactly at read time), makes it durable
-// through periodic crash-safe snapshots, and serves certified coreset
-// builds from it under admission control. The design goals, in order:
+// through a write-ahead log plus crash-safe snapshots, and serves
+// certified coreset builds from it under admission control. The design
+// goals, in order:
 //
 //   - never die: worker panics are converted into typed ErrWorkerPanic
 //     values and counted; the service degrades (that batch is lost until
 //     replayed) but keeps ingesting,
-//   - never lose more than the checkpoint window: snapshots are written
-//     atomically with fsync and two on-disk generations; recovery falls
-//     back a generation on a torn write and reports the restored point
-//     count so producers can replay the tail (replay is idempotent —
-//     directional maxima are unaffected by duplicates),
-//   - never lose an acknowledged point (opt-in, ServeOptions.WAL): Feed
+//   - never lose an acknowledged point: with a SnapshotPath, Feed
 //     appends each batch to a per-tenant write-ahead log and syncs per
-//     policy before acknowledging, restore replays the log past the
-//     snapshot position (idempotent by sequence number), and checkpoint
-//     success truncates the log — acknowledged == durable,
+//     policy before acknowledging; a checkpoint writes a snapshot
+//     generation (atomically, with fsync, two generations on disk) and
+//     compacts the log only through the older generation, so restore —
+//     the newest decodable generation plus the log replayed past it,
+//     idempotent by sequence number — reaches the acknowledged position
+//     even when a torn write forces the fallback to the older one,
 //   - never collapse under load: the ingest queue and the build
 //     scheduler's queue are bounded, and both shed with typed
 //     ErrOverloaded instead of queueing without bound,
@@ -135,12 +134,12 @@ func (m WALSyncMode) String() string {
 	}
 }
 
-// WALConfig opts a service into durable ingest via a per-tenant
-// write-ahead log: Feed appends (and syncs per policy) before
-// acknowledging, restore replays records past the snapshot position,
-// and checkpoint success truncates the log. Requires SnapshotPath; the
-// log lives in a "wal" directory next to the snapshot. Nil disables
-// the WAL and keeps the legacy checkpoint-window durability contract.
+// WALConfig tunes the write-ahead log every durable service keeps: with
+// a SnapshotPath, Feed appends each batch (and syncs per Sync) before
+// acknowledging it, restore replays the records past the snapshot
+// position, and each checkpoint compacts the log through the older
+// snapshot generation. The log lives in a "wal" directory next to the
+// snapshot. A nil *WALConfig selects every default.
 type WALConfig struct {
 	// Sync is the durability policy (default WALSyncEveryBatch).
 	Sync WALSyncMode
@@ -151,9 +150,12 @@ type WALConfig struct {
 	SegmentBytes int64
 }
 
-// withWALDefaults normalizes a WALConfig.
+// withDefaults normalizes a WALConfig; nil selects every default.
 func (c *WALConfig) withDefaults() *WALConfig {
-	v := *c
+	var v WALConfig
+	if c != nil {
+		v = *c
+	}
 	if v.Sync == WALSyncInterval && v.SyncInterval <= 0 {
 		v.SyncInterval = 50 * time.Millisecond
 	}
@@ -208,7 +210,11 @@ type ServeOptions struct {
 	// Seed drives the direction net and all build randomness.
 	Seed int64
 	// SnapshotPath is where checkpoints are written (two generations:
-	// the path itself and path+".prev"). Empty disables durability.
+	// the path itself and path+".prev"); the write-ahead log lives in a
+	// "wal" directory next to it, so each snapshot path needs a
+	// directory of its own: a service whose directory's log belongs to
+	// another snapshot file, or is held by a live service, fails to
+	// start. Empty disables durability.
 	SnapshotPath string
 	// CheckpointInterval is the base period between automatic
 	// checkpoints (default 10s; < 0 disables the loop — Checkpoint can
@@ -258,12 +264,10 @@ type ServeOptions struct {
 	// coreset when a fresh build fails; nil (the default) keeps hard
 	// errors. See StaleServePolicy.
 	StaleServe *StaleServePolicy
-	// WAL opts into durable ingest: Feed appends each batch to a
-	// write-ahead log (and syncs per the configured policy) before
-	// acknowledging, so an acknowledged point survives any crash;
-	// restore replays the log past the snapshot position. Requires
-	// SnapshotPath. Nil (the default) keeps the legacy contract where
-	// durability of a fed point begins at the next checkpoint.
+	// WAL tunes the write-ahead log a service with a SnapshotPath keeps:
+	// Feed appends each batch (and syncs per WAL.Sync) before
+	// acknowledging it. Nil selects the defaults, under which a nil Feed
+	// return means the batch is fsynced. Ignored without SnapshotPath.
 	WAL *WALConfig
 
 	// TraceStore, when non-nil, retains this service's startup restore
@@ -327,12 +331,7 @@ func (o *ServeOptions) withDefaults() (ServeOptions, error) {
 	if v.clock == nil {
 		v.clock = time.Now
 	}
-	if v.WAL != nil {
-		if v.SnapshotPath == "" {
-			return v, fmt.Errorf("mincore: WAL requires SnapshotPath (the log lives next to the snapshot)")
-		}
-		v.WAL = v.WAL.withDefaults()
-	}
+	v.WAL = v.WAL.withDefaults()
 	return v, nil
 }
 
@@ -408,12 +407,14 @@ type ServiceStats struct {
 	// from this offset after a crash.
 	RestoredPoints int
 	// ReplayedPoints counts the points replayed from the write-ahead
-	// log into the restored summary at startup (0 without a WAL).
+	// log into the restored summary at startup (0 without a
+	// SnapshotPath).
 	ReplayedPoints int
 	// WALSegments and WALBytes describe the live write-ahead-log
-	// footprint (both 0 without a WAL); the log is truncated after each
-	// durable checkpoint, so growth here means checkpoints are failing
-	// or lagging.
+	// footprint (both 0 without a SnapshotPath). Each checkpoint
+	// compacts the log through the older snapshot generation, so it
+	// holds about two checkpoint intervals of points; growth past that
+	// means checkpoints are failing or lagging.
 	WALSegments int
 	WALBytes    int64
 	// StorageDegraded is set while the last WAL append or sync failed:
@@ -428,8 +429,10 @@ type ServiceStats struct {
 	CheckpointFailures   int
 	// Degraded is set once CheckpointFailures reaches the degraded
 	// threshold (degradedCheckpointFailures consecutive failed saves):
-	// the service still ingests and serves, but its durability window is
-	// growing without bound. Surfaced per tenant by /readyz and /v1/stats.
+	// the service still ingests and serves, but the log is no longer
+	// compacted, so it and the replay at restart grow without bound.
+	// Also set while StorageDegraded. Surfaced per tenant by /readyz and
+	// /v1/stats.
 	Degraded bool
 	// LastCheckpoint is when the last durable generation was written;
 	// CheckpointLag is the time elapsed since then (0 until the first
@@ -448,6 +451,54 @@ type shard struct {
 	sum *stream.Summary
 }
 
+// queuedBatch is one admitted batch on its way to a worker. start is
+// its log position: the stream position before its first point (0
+// without a log).
+type queuedBatch struct {
+	pts   [][]float64
+	start uint64
+}
+
+// watermark tracks the applied-through log position W: every point
+// before W has been applied to a shard. Batches enter the queue in log
+// order but finish in any order across workers — a later batch can be
+// applied while an earlier one waits between its dequeue and its shard
+// lock — so the shards' point count is not a log position; W, the
+// start of the oldest unfinished batch, is.
+type watermark struct {
+	mu       sync.Mutex
+	end      uint64              // log end of the last enqueued batch
+	inflight map[uint64]struct{} // log starts of enqueued, unfinished batches
+}
+
+// add registers a batch covering log positions [start, end). Callers
+// hold walMu and add before the enqueue, so no worker can finish a
+// batch the watermark has not seen.
+func (w *watermark) add(start, end uint64) {
+	w.mu.Lock()
+	w.inflight[start] = struct{}{}
+	w.end = end
+	w.mu.Unlock()
+}
+
+// finish marks the batch starting at start applied.
+func (w *watermark) finish(start uint64) {
+	w.mu.Lock()
+	delete(w.inflight, start)
+	w.mu.Unlock()
+}
+
+// position returns W.
+func (w *watermark) position() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	pos := w.end
+	for start := range w.inflight {
+		pos = min(pos, start)
+	}
+	return pos
+}
+
 // IngestService is a supervised, durable, resource-bounded ingest loop
 // over the streaming summary. Create with NewIngestService, feed with
 // Feed, query with Coreset/Summary, and stop with Close (graceful:
@@ -458,7 +509,7 @@ type IngestService struct {
 	log  *slog.Logger
 	met  serviceMetrics
 
-	queue chan [][]float64
+	queue chan queuedBatch
 	quota *tokenBucket // nil when no ingest quota is configured
 
 	base      *stream.Summary // restored snapshot, read-only (nil = fresh)
@@ -467,16 +518,14 @@ type IngestService struct {
 	shards    []*shard
 	store     *snapshot.Store // nil when durability is disabled
 
-	// wal, when non-nil, is the durable-ingest write-ahead log. walMu
-	// serializes every log operation AND the queue send that follows a
-	// successful append, so the append order and the queue order agree
-	// and a post-append queue send can never block (capacity is checked
-	// under the same lock).
-	walMu       sync.Mutex
-	wal         *wal.Log
-	walFailed   atomic.Bool // last WAL write failed; Feed refuses to ack
-	walAppends  atomic.Int64
-	walReplayed atomic.Int64
+	// wal is the write-ahead log (nil exactly when store is). walMu
+	// serializes every log operation and queue admission — the capacity
+	// check, the append, and the send — so the append order and the
+	// queue order agree and a post-append send can never block.
+	walMu     sync.Mutex
+	wal       *wal.Log
+	walFailed atomic.Bool // last WAL write failed; Feed refuses to ack
+	applied   watermark   // the position checkpoints save at
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -549,11 +598,12 @@ type errBox struct{ err error }
 
 // NewIngestService validates opts, restores the newest decodable
 // snapshot generation when SnapshotPath names one (falling back a
-// generation on a torn write), and starts the ingest workers and the
-// checkpoint loop. A snapshot written with different stream parameters
-// returns ErrSnapshotIncompatible; a present-but-unusable snapshot pair
-// returns the loader's typed error so the operator decides rather than
-// silently starting empty.
+// generation on a torn write) and replays the write-ahead log past it,
+// and starts the ingest workers and the checkpoint loop. A snapshot
+// written with different stream parameters returns
+// ErrSnapshotIncompatible; a present-but-unusable snapshot pair returns
+// the loader's typed error so the operator decides rather than silently
+// starting empty.
 func NewIngestService(opts ServeOptions) (*IngestService, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
@@ -571,7 +621,7 @@ func NewIngestService(opts ServeOptions) (*IngestService, error) {
 		opts:  o,
 		log:   log,
 		met:   newServiceMetrics(o.Tenant),
-		queue: make(chan [][]float64, o.QueueSize),
+		queue: make(chan queuedBatch, o.QueueSize),
 	}
 	if o.QuotaPointsPerSec > 0 {
 		s.quota = newTokenBucket(o.QuotaPointsPerSec, o.QuotaBurst, o.clock)
@@ -622,8 +672,6 @@ func NewIngestService(opts ServeOptions) (*IngestService, error) {
 			return nil, err
 		}
 		loadSpan.End()
-	}
-	if o.WAL != nil {
 		if err := s.openWAL(); err != nil {
 			return nil, err
 		}
@@ -665,10 +713,11 @@ func WALDir(snapshotPath string) string {
 
 // openWAL opens (or creates) the service's write-ahead log, repairs any
 // torn tail, replays records past the restored snapshot position into
-// the base summary, and aligns the log with the restored position. The
-// restored stream is exactly what was durable: snapshot ∪ replayable
-// log suffix — byte-identical to an uninterrupted run because replay is
-// idempotent by sequence number.
+// the base summary, and aligns the log with the restored position (a
+// snapshot directory without a log, as a build without the log left it,
+// starts a fresh log there). The restored stream is exactly what was
+// durable: snapshot ∪ replayable log suffix — byte-identical to an
+// uninterrupted run because replay is idempotent by sequence number.
 func (s *IngestService) openWAL() error {
 	o := s.opts
 	l, err := wal.Open(wal.Options{
@@ -676,6 +725,7 @@ func (s *IngestService) openWAL() error {
 		Dim:          o.Dim,
 		Directions:   o.Directions,
 		Seed:         o.Seed,
+		Owner:        filepath.Base(o.SnapshotPath),
 		SegmentBytes: o.WAL.SegmentBytes,
 		Policy:       o.WAL.walPolicy(),
 		Interval:     o.WAL.SyncInterval,
@@ -699,15 +749,16 @@ func (s *IngestService) openWAL() error {
 			s.base = stream.NewSummary(o.Directions, o.Dim, o.Seed)
 		} else if oldest := l.OldestSeq(); oldest > afterSeq {
 			// The restore landed on a generation older than the log's
-			// oldest record — e.g. a torn current generation fell back
-			// to ".prev" after a checkpoint had already truncated the
-			// log through the newer position. Points afterSeq..oldest
-			// were acknowledged but exist in neither half of the durable
-			// pair; replaying across the hole would silently lose them
-			// while reporting the log's end as the restored position, so
-			// producers would never re-send the gap. Fail as ErrBadLog:
-			// the recovery ladder drops the log and restores to the
-			// snapshot position, and producers replay from there.
+			// oldest record. Checkpoints compact only through the older
+			// generation, so this takes a log compacted by an older
+			// build (through the newer position) or lost segments.
+			// Points afterSeq..oldest exist in neither half of the
+			// durable pair; replaying across the hole would silently
+			// lose them while reporting the log's end as the restored
+			// position, so producers would never re-send the gap. Fail
+			// as ErrBadLog: the recovery ladder drops the log and
+			// restores to the snapshot position, and producers replay
+			// from there.
 			l.Close()
 			return fmt.Errorf("%w: snapshot restored position %d but the log starts at seq %d — acknowledged points %d..%d are unrecoverable from the log",
 				wal.ErrBadLog, afterSeq, oldest, afterSeq, oldest)
@@ -730,7 +781,6 @@ func (s *IngestService) openWAL() error {
 		replaySpan.End()
 		s.replayedN = int(delivered)
 		s.restoredN = int(pos)
-		s.walReplayed.Add(int64(delivered))
 		s.met.walReplayedPoints.Add(delivered)
 		s.log.Info("replayed write-ahead log",
 			slog.Uint64("points", delivered),
@@ -741,6 +791,7 @@ func (s *IngestService) openWAL() error {
 		return fmt.Errorf("mincore: wal align: %w", err)
 	}
 	s.wal = l
+	s.applied = watermark{end: uint64(s.restoredN), inflight: make(map[uint64]struct{})}
 	s.publishWALStats(l.Stats())
 	return nil
 }
@@ -764,12 +815,12 @@ func (s *IngestService) publishWALStats(st wal.Stats) {
 // whole batch with ErrInvalidPoint (nothing is enqueued); a full queue
 // sheds the batch with ErrOverloaded.
 //
-// Without a WAL, ingestion is asynchronous — durability of a fed point
-// begins at the next checkpoint. With ServeOptions.WAL set, the batch
-// is appended to the write-ahead log (and synced per the configured
-// policy) before Feed returns: under WALSyncEveryBatch a nil return
-// means the batch is durable; a failed append or sync refuses the
-// batch with ErrStorageUnavailable and nothing is ingested.
+// With a SnapshotPath, the batch is appended to the write-ahead log
+// (and synced per WALConfig.Sync) before Feed returns: under the default
+// WALSyncEveryBatch a nil return means the batch is durable; a failed
+// append or sync refuses the batch with ErrStorageUnavailable and
+// nothing is ingested. Without one nothing is durable. Either way the
+// batch is applied to the summary asynchronously.
 func (s *IngestService) Feed(pts ...Point) error {
 	return s.FeedCtx(context.Background(), pts...)
 }
@@ -798,6 +849,12 @@ func (s *IngestService) FeedCtx(ctx context.Context, pts ...Point) error {
 	return err
 }
 
+// feedAdmit validates a batch, charges the quota, and admits it. walMu
+// is held across the queue-capacity check, the log append (when the
+// service keeps a log), and the enqueue, so admission is one atomic
+// decision: a shed batch never touches the log (its sequence numbers
+// are never consumed), an appended batch's send can never block, and
+// the queue order is the log order.
 func (s *IngestService) feedAdmit(ctx context.Context, pts []Point) error {
 	batch := make([][]float64, len(pts))
 	for i, p := range pts {
@@ -814,7 +871,7 @@ func (s *IngestService) feedAdmit(ctx context.Context, pts []Point) error {
 		return ErrServiceClosed
 	}
 	// Quota is charged only for points actually admitted: the check runs
-	// after the closed check, and a queue-full shed refunds its tokens —
+	// after the closed check, and a refused batch refunds its tokens —
 	// otherwise a paced client would be double-penalized under overload,
 	// quota-blocked for points that were never ingested.
 	if s.quota != nil && !s.quota.take(float64(len(pts))) {
@@ -826,36 +883,7 @@ func (s *IngestService) feedAdmit(ctx context.Context, pts []Point) error {
 		return fmt.Errorf("%w: %g points/s (burst %d)", ErrQuotaExceeded,
 			s.opts.QuotaPointsPerSec, s.opts.QuotaBurst)
 	}
-	if s.wal != nil {
-		return s.feedDurable(ctx, batch)
-	}
-	select {
-	case s.queue <- batch:
-		s.met.ingestBatches.Inc()
-		s.met.queueDepth.Set(int64(len(s.queue)))
-		return nil
-	default:
-		if s.quota != nil {
-			s.quota.refund(float64(len(pts)))
-		}
-		s.rejected.Add(int64(len(pts)))
-		s.met.ingestShed.Add(uint64(len(pts)))
-		s.log.Debug("ingest queue full; batch shed",
-			slog.Int("points", len(pts)),
-			slog.Int("queue_size", s.opts.QueueSize))
-		return fmt.Errorf("%w: ingest queue full (%d batches)", ErrOverloaded, s.opts.QueueSize)
-	}
-}
-
-// feedDurable is Feed's WAL path: append (and sync per policy) BEFORE
-// enqueueing, so a nil return means the batch is in the log — under
-// per-batch sync, durable. The caller already holds feedMu.RLock and
-// has charged the quota. walMu serializes appenders, so the queue-
-// capacity check and the send form one atomic admission decision: a
-// shed batch never touches the log (its sequence numbers are never
-// consumed) and an appended batch's send can never block.
-func (s *IngestService) feedDurable(ctx context.Context, batch [][]float64) error {
-	n := len(batch)
+	n := len(pts)
 	refund := func() {
 		if s.quota != nil {
 			s.quota.refund(float64(n))
@@ -867,11 +895,34 @@ func (s *IngestService) feedDurable(ctx context.Context, batch [][]float64) erro
 		refund()
 		s.rejected.Add(int64(n))
 		s.met.ingestShed.Add(uint64(n))
-		s.log.Debug("ingest queue full; batch shed before WAL append",
+		s.log.Debug("ingest queue full; batch shed",
 			slog.Int("points", n),
 			slog.Int("queue_size", s.opts.QueueSize))
 		return fmt.Errorf("%w: ingest queue full (%d batches)", ErrOverloaded, s.opts.QueueSize)
 	}
+	qb := queuedBatch{pts: batch}
+	if s.wal != nil {
+		end, err := s.appendWAL(ctx, batch)
+		if err != nil {
+			refund()
+			return err
+		}
+		qb.start = end - uint64(n)
+		s.applied.add(qb.start, end)
+	}
+	s.queue <- qb // cannot block: capacity was checked under walMu
+	s.met.ingestBatches.Inc()
+	s.met.queueDepth.Set(int64(len(s.queue)))
+	return nil
+}
+
+// appendWAL appends one admitted batch to the log (syncing per policy)
+// and returns the log position after it; a nil error means the batch is
+// in the log — under per-batch sync, durable. The caller holds walMu. A
+// failed write marks the service storage-degraded and refuses the batch
+// with ErrStorageUnavailable.
+func (s *IngestService) appendWAL(ctx context.Context, batch [][]float64) (uint64, error) {
+	n := len(batch)
 	wspan := obs.StartSpan(ctx, "wal-append")
 	appendStart := time.Now()
 	seq, err := s.wal.Append(batch)
@@ -879,7 +930,6 @@ func (s *IngestService) feedDurable(ctx context.Context, batch [][]float64) erro
 	if err != nil {
 		wspan.SetAttr("error", err.Error())
 		wspan.End()
-		refund()
 		// The flight recorder fires only on the healthy→failed transition,
 		// not on every refused batch, so a dead disk produces one bundle
 		// per outage rather than one per request.
@@ -895,26 +945,21 @@ func (s *IngestService) feedDurable(ctx context.Context, batch [][]float64) erro
 		s.log.Warn("WAL append failed; batch refused without ack",
 			slog.Int("points", n),
 			slog.Any("error", err))
-		return fmt.Errorf("%w: wal append: %v", ErrStorageUnavailable, err)
+		return 0, fmt.Errorf("%w: wal append: %v", ErrStorageUnavailable, err)
 	}
 	wspan.SetAttr("seq", strconv.FormatUint(seq, 10))
 	wspan.End()
 	s.walFailed.Store(false)
-	s.walAppends.Add(1)
 	s.met.walAppends.Inc()
 	s.met.walAppendedPoints.Add(uint64(n))
 	if s.walCrashHook != nil {
+		// Crash point: the batch is in the log but will never be
+		// acknowledged — restore may exceed the last ack, never trail it.
 		if err := s.walCrashHook(); err != nil {
-			// Crash point: the batch is in the log but will never be
-			// acknowledged — restore may exceed the last ack, never trail it.
-			refund()
-			return err
+			return 0, err
 		}
 	}
-	s.queue <- batch // cannot block: capacity was checked under walMu
-	s.met.ingestBatches.Inc()
-	s.met.queueDepth.Set(int64(len(s.queue)))
-	return nil
+	return seq, nil
 }
 
 // validatePoint applies New's input contract to one stream point.
@@ -953,8 +998,12 @@ func (s *IngestService) worker(i int) {
 // panic into a *WorkerPanicError. The shard summary stays valid after a
 // panic — champion slots are monotone, so a partially applied point can
 // only strengthen the sketch — but the rest of the batch is dropped and
-// should be replayed by the producer.
-func (s *IngestService) ingestBatch(i int, batch [][]float64) {
+// should be replayed by the producer. Either way the batch then counts
+// as finished for the watermark, and only after that are its points
+// added to Ingested: once Ingested covers every fed point, a checkpoint
+// is saved at the log's end.
+func (s *IngestService) ingestBatch(i int, batch queuedBatch) {
+	applied := 0
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
@@ -964,13 +1013,18 @@ func (s *IngestService) ingestBatch(i int, batch [][]float64) {
 			s.log.Error("ingest worker panic recovered; batch dropped",
 				slog.Int("worker", i),
 				slog.Any("panic", r),
-				slog.Int("batch_points", len(batch)))
+				slog.Int("batch_points", len(batch.pts)))
 		}
+		if s.wal != nil {
+			s.applied.finish(batch.start)
+		}
+		s.ingested.Add(int64(applied))
+		s.met.ingestPoints.Add(uint64(applied))
 	}()
 	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, p := range batch {
+	for _, p := range batch.pts {
 		if s.panicHook != nil {
 			s.panicHook(p)
 		}
@@ -981,8 +1035,7 @@ func (s *IngestService) ingestBatch(i int, batch [][]float64) {
 			s.met.ingestInvalid.Inc()
 			continue
 		}
-		s.ingested.Add(1)
-		s.met.ingestPoints.Inc()
+		applied++
 	}
 }
 
@@ -1072,12 +1125,24 @@ func (s *IngestService) CheckpointCtx(ctx context.Context) error {
 
 func (s *IngestService) checkpointSave(span *obs.Span) error {
 	start := time.Now()
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	// The generation's position is W, read before the merge: the merged
+	// summary then holds every point of the log prefix [0, W), plus
+	// perhaps points of later batches a worker finished early. Those lie
+	// in the log past W, so replay feeds them again as duplicates, which
+	// the champions ignore. Checkpoints run one at a time under ckptMu,
+	// so saved positions never decrease.
+	w := s.applied.position()
 	sum, err := s.mergedSummary()
 	if err != nil {
 		return err
 	}
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
+	st := sum.State()
+	st.N = int(w)
+	if sum, err = stream.FromState(st); err != nil {
+		return err
+	}
 	meta, err := s.store.Save(sum)
 	if err != nil {
 		s.ckptFailures++
@@ -1088,6 +1153,7 @@ func (s *IngestService) checkpointSave(span *obs.Span) error {
 			slog.Any("error", err))
 		return err
 	}
+	older := s.lastCkptN
 	s.lastCkpt = meta
 	s.lastCkptN = sum.N()
 	s.ckptFailures = 0
@@ -1099,19 +1165,19 @@ func (s *IngestService) checkpointSave(span *obs.Span) error {
 		slog.Uint64("generation", meta.Generation),
 		slog.Int("points", sum.N()),
 		slog.Duration("took", time.Since(start)))
-	s.truncateWAL(uint64(sum.N()))
+	s.truncateWAL(uint64(older))
 	return nil
 }
 
-// truncateWAL drops log data covered by a durable checkpoint at stream
-// position n. Failure is non-fatal: replay already skips records at or
-// below the snapshot position, so an un-truncated segment only costs
-// disk until the next successful truncation — exactly the behavior a
-// crash mid-truncate relies on.
+// truncateWAL compacts the log through stream position n, the position
+// of the generation the save just rotated to ".prev": the log keeps
+// reaching back to the older generation, so a torn current generation
+// falls back to ".prev" and still replays to the acknowledged position.
+// Failure is non-fatal: replay already skips records at or below the
+// snapshot position, so an un-truncated segment only costs disk until
+// the next successful truncation — exactly the behavior a crash
+// mid-truncate relies on.
 func (s *IngestService) truncateWAL(n uint64) {
-	if s.wal == nil {
-		return
-	}
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	if err := s.wal.TruncateThrough(n); err != nil {
@@ -1176,7 +1242,7 @@ const defaultServeCacheSize = 32
 
 // degradedCheckpointFailures is the consecutive-failed-save threshold at
 // which a service reports Degraded: one or two failures are routine disk
-// hiccups the backoff loop absorbs; at three the durability window is
+// hiccups the backoff loop absorbs; at three the uncompacted log is
 // compounding and operators should be paged.
 const degradedCheckpointFailures = 3
 
@@ -1539,10 +1605,10 @@ func (s *IngestService) Close() error {
 
 // Kill abandons the service as a crash would: goroutines stop as soon
 // as they notice, queued batches are dropped, queued build requests fail
-// with ErrServiceClosed, and no final checkpoint is written — everything
-// after the last durable generation is lost, exactly the window recovery
-// is designed for. Used by the chaos tests; production shutdown should
-// use Close.
+// with ErrServiceClosed, no final checkpoint is written, and the log is
+// not synced — a restart recovers the queued batches from the log, and
+// loses only what the sync policy left unsynced. Used by the chaos
+// tests; production shutdown should use Close.
 func (s *IngestService) Kill() {
 	s.feedMu.Lock()
 	s.closed = true

@@ -32,8 +32,8 @@ import (
 // Durability is namespaced: tenant state lives under
 // <SnapshotDir>/<id>/ — a tenant.json manifest carrying the resolved
 // tenant configuration, the two-generation snapshot store
-// (stream.snap / stream.snap.prev), and, when RegistryOptions.WAL is
-// set, the tenant's write-ahead log under <SnapshotDir>/<id>/wal/.
+// (stream.snap / stream.snap.prev), and the tenant's write-ahead log
+// under <SnapshotDir>/<id>/wal/.
 // NewTenantRegistry restores every manifested tenant (snapshot plus
 // replayed log suffix), so a restart recovers the full fleet;
 // DeleteTenant removes the tenant's directory, which is the whole of
@@ -119,7 +119,9 @@ type TenantConfig struct {
 	BuildCache    int
 	// SnapshotPath overrides the namespaced default of
 	// <SnapshotDir>/<ID>/stream.snap. Relevant only for migrating a
-	// pre-registry single-tenant snapshot into a registry.
+	// pre-registry single-tenant snapshot into a registry. Its log lives
+	// in a "wal" directory next to it, so it needs a directory of its
+	// own (see ServeOptions.SnapshotPath).
 	SnapshotPath string
 }
 
@@ -135,9 +137,9 @@ type RegistryOptions struct {
 	// Seed is the default tenant seed.
 	Seed int64
 	// SnapshotDir is the root under which each tenant gets its own
-	// directory (manifest + two-generation snapshot store). Empty
-	// disables durability for every tenant without a SnapshotPath
-	// override.
+	// directory (manifest, two-generation snapshot store, and
+	// write-ahead log). Empty disables durability for every tenant
+	// without a SnapshotPath override.
 	SnapshotDir string
 	// CheckpointInterval is the per-tenant automatic checkpoint period
 	// (default 10s; < 0 disables the loops).
@@ -168,10 +170,10 @@ type RegistryOptions struct {
 	// last certified coreset (see StaleServePolicy); nil keeps hard
 	// errors.
 	StaleServe *StaleServePolicy
-	// WAL opts every durable tenant into write-ahead-logged ingest
-	// (acknowledged == durable; see WALConfig). Tenants without a
-	// snapshot path — SnapshotDir empty and no per-tenant override —
-	// ignore it.
+	// WAL tunes every durable tenant's write-ahead log (see WALConfig);
+	// nil selects the defaults, under which an acknowledged batch is
+	// fsynced. Tenants without a snapshot path — SnapshotDir empty and no
+	// per-tenant override — keep no log.
 	WAL *WALConfig
 	// TraceStore, when non-nil, arms the tracing layer fleet-wide: each
 	// tenant's restore trace is retained there, and the registry's
@@ -522,15 +524,11 @@ func (r *TenantRegistry) startTenant(cfg TenantConfig, createdAt time.Time, pers
 		}
 		path = filepath.Join(dir, snapshotFile)
 	}
-	var walCfg *WALConfig
-	if path != "" {
-		walCfg = r.opts.WAL
-	}
 	svc, err := NewIngestService(ServeOptions{
 		Dim: cfg.Dim, Eps: cfg.Eps, Alpha: cfg.Alpha,
 		Directions: cfg.Directions, Seed: cfg.Seed,
 		SnapshotPath:       path,
-		WAL:                walCfg,
+		WAL:                r.opts.WAL,
 		CheckpointInterval: r.opts.CheckpointInterval,
 		IngestWorkers:      cfg.IngestWorkers,
 		QueueSize:          cfg.QueueSize,
@@ -721,8 +719,8 @@ func (r *TenantRegistry) Health() []TenantHealth {
 // DeleteTenant stops a tenant and removes every trace of it: pending
 // scheduler requests fail with ErrTenantNotFound, the service is
 // killed (no final checkpoint — the data is being deleted), its build
-// cache is released, and the tenant's snapshot directory (manifest and
-// both snapshot generations) is removed from disk.
+// cache is released, and the tenant's snapshot directory (manifest,
+// both snapshot generations, and the log) is removed from disk.
 func (r *TenantRegistry) DeleteTenant(id string) error {
 	r.mu.Lock()
 	if r.closed {
@@ -778,10 +776,10 @@ func (r *TenantRegistry) DeleteTenant(id string) error {
 				rmErr = err
 			}
 		}
-		if r.opts.WAL != nil {
-			if err := wal.Remove(WALDir(t.cfg.SnapshotPath)); err != nil {
-				rmErr = err
-			}
+		// The log goes only when it is this path's own and no live
+		// service holds it (wal.Remove refuses otherwise).
+		if err := wal.Remove(WALDir(t.cfg.SnapshotPath), filepath.Base(t.cfg.SnapshotPath)); err != nil {
+			rmErr = err
 		}
 	}
 	mTenants.Add(-1)
@@ -807,13 +805,14 @@ func (r *TenantRegistry) DeleteTenant(id string) error {
 //     but the write-ahead log reaches back to stream position 0, drop
 //     the snapshots and rebuild the summary purely from the log (no
 //     loss); conversely, when the log itself is the corruption, drop
-//     the log and restore from the snapshot (loss bounded by the
-//     checkpoint window),
+//     the log and restore from the snapshot (producers replay from the
+//     snapshot's position),
 //  4. "fallback_generation" — discard the current snapshot generation so
-//     the previous one serves (loses the last checkpoint window; with a
-//     WAL, the log suffix past the previous generation still replays),
-//  5. "reset_stream"        — remove every generation and restart empty
-//     (producers replay from offset 0; replay is idempotent).
+//     the previous one serves; the log reaches back to it, so its
+//     suffix still replays,
+//  5. "reset_stream"        — remove every generation and the log and
+//     restart empty (producers replay from offset 0; replay is
+//     idempotent).
 //
 // On success the tenant is live again and the ladder step taken is
 // returned; on failure the tenant stays quarantined with the new error.
@@ -882,13 +881,11 @@ func (r *TenantRegistry) recoverLadder(q *quarantinedTenant) (*Tenant, string, e
 		if err == nil {
 			st := sum.State()
 			cfg = &TenantConfig{ID: q.id, Dim: st.D, Directions: st.M, Seed: st.Seed}
-		} else if r.opts.WAL != nil {
+		} else if d, m, seed, ok := wal.PeekHeader(WALDir(snapPath)); ok {
 			// No decodable snapshot, but the WAL segment header mirrors
 			// the snapshot header fields — an intact log still recovers
 			// the stream-critical config.
-			if d, m, seed, ok := wal.PeekHeader(WALDir(snapPath)); ok {
-				cfg = &TenantConfig{ID: q.id, Dim: d, Directions: m, Seed: seed}
-			}
+			cfg = &TenantConfig{ID: q.id, Dim: d, Directions: m, Seed: seed}
 		}
 		if cfg == nil {
 			// Nothing decodable anywhere: fall through to the stream
@@ -909,27 +906,30 @@ func (r *TenantRegistry) recoverLadder(q *quarantinedTenant) (*Tenant, string, e
 	if err == nil {
 		return t, step, nil
 	}
+	if errors.Is(err, wal.ErrDirInUse) {
+		// A live service holds the log: every later step would delete
+		// data it still writes.
+		return nil, step, err
+	}
 
 	// Step 3 "replay_wal": repair whichever side of the durable pair is
-	// sick using the other. A corrupt log is dropped (the snapshot still
-	// bounds the loss to the checkpoint window); unusable snapshots are
-	// dropped when the log reaches back to position 0 and can rebuild
-	// the stream alone.
-	if r.opts.WAL != nil {
-		walDir := WALDir(snapPath)
-		switch {
-		case errors.Is(err, wal.ErrBadLog):
-			if werr := wal.Remove(walDir); werr == nil {
+	// sick using the other. A corrupt log is dropped (the snapshot keeps
+	// everything up to its position, and producers replay past it);
+	// unusable snapshots are dropped when the log reaches back to
+	// position 0 and can rebuild the stream alone.
+	walDir := WALDir(snapPath)
+	switch {
+	case errors.Is(err, wal.ErrBadLog):
+		if werr := wal.Remove(walDir, snapshotFile); werr == nil {
+			if t, err = r.startTenant(*cfg, createdAt, false); err == nil {
+				return t, "replay_wal", nil
+			}
+		}
+	case errors.Is(err, ErrSnapshotIncompatible) || errors.Is(err, snapshot.ErrBadSnapshot):
+		if wal.StartsAtZero(walDir) {
+			if rerr := store.Reset(); rerr == nil {
 				if t, err = r.startTenant(*cfg, createdAt, false); err == nil {
 					return t, "replay_wal", nil
-				}
-			}
-		case errors.Is(err, ErrSnapshotIncompatible) || errors.Is(err, snapshot.ErrBadSnapshot):
-			if wal.StartsAtZero(walDir) {
-				if rerr := store.Reset(); rerr == nil {
-					if t, err = r.startTenant(*cfg, createdAt, false); err == nil {
-						return t, "replay_wal", nil
-					}
 				}
 			}
 		}
@@ -942,15 +942,14 @@ func (r *TenantRegistry) recoverLadder(q *quarantinedTenant) (*Tenant, string, e
 			if t, err = r.startTenant(*cfg, createdAt, false); err == nil {
 				return t, "fallback_generation", nil
 			}
-			// The surviving generation can predate the log's oldest
-			// record (a checkpoint truncated the log through the
-			// discarded generation's position), which openWAL refuses
-			// as ErrBadLog rather than replaying across the hole. Drop
-			// the log too: the rung then costs one checkpoint window
-			// (producers replay from the older generation's position)
-			// instead of escalating to a full stream reset.
-			if r.opts.WAL != nil && errors.Is(err, wal.ErrBadLog) {
-				if werr := wal.Remove(WALDir(snapPath)); werr == nil {
+			// A log compacted by an older build (through the discarded
+			// generation's position) starts past the surviving one,
+			// which openWAL refuses as ErrBadLog rather than replaying
+			// across the hole. Drop the log too: producers then replay
+			// from the older generation's position instead of from a
+			// full stream reset.
+			if errors.Is(err, wal.ErrBadLog) {
+				if werr := wal.Remove(walDir, snapshotFile); werr == nil {
 					if t, err = r.startTenant(*cfg, createdAt, false); err == nil {
 						return t, "fallback_generation", nil
 					}
@@ -965,10 +964,8 @@ func (r *TenantRegistry) recoverLadder(q *quarantinedTenant) (*Tenant, string, e
 	if rerr := store.Reset(); rerr != nil {
 		return nil, "reset_stream", rerr
 	}
-	if r.opts.WAL != nil {
-		if werr := wal.Remove(WALDir(snapPath)); werr != nil {
-			return nil, "reset_stream", werr
-		}
+	if werr := wal.Remove(walDir, snapshotFile); werr != nil {
+		return nil, "reset_stream", werr
 	}
 	t, err = r.startTenant(*cfg, createdAt, false)
 	if err != nil {
