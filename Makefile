@@ -120,21 +120,21 @@ bench-cache:
 
 # Regenerate the raw-speed snapshot (BENCH_speed.json): cold DG build
 # baseline vs pooled+warm-started (>= 5x speedup and >= 5x fewer allocs
-# required), cold certified auto build with the prefilter on vs off, and
-# the prefilter shrink ratio n/ξ.
+# required).
 bench-speed:
 	./scripts/bench_speed.sh
 
-# Raw-speed correctness: the warm-start/prefilter determinism matrix
-# and SCMC's cut loop (multiplier and Farkas cut readouts, pinned sizes,
-# round bound, cancellation, worker-count determinism) under the race
-# detector, then the allocation-regression gates (plain — race
+# Raw-speed correctness: the warm-start × worker-count determinism
+# matrix and SCMC's cut loop (multiplier and Farkas cut readouts, pinned
+# sizes, round bound, cancellation, worker-count determinism) under the
+# race detector, then the allocation-regression gates (plain — race
 # instrumentation inflates alloc counts, and the gate files are built
-# with //go:build !race), then the Clarkson scan's pinned extreme-point
-# sequences, brute-force reference and screen yield stop (plain — the
-# scan is sequential).
+# with //go:build !race), then the pinned public build outputs and the
+# Clarkson scan's pinned extreme-point sequences, brute-force reference
+# and screen yield stop (plain — the scan is sequential).
 speed:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestPrefilter|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
+		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestWarmStartWorkerMatrix|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
 	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs' ./internal/lp/ ./internal/core/
+	$(GO) test -count=1 -run 'TestBuildOutputsPinned' .
 	$(GO) test -count=1 -run 'TestExtremePointsPinned|TestExtremePointsMatchBrute|TestScreenYield' ./internal/hull/

@@ -5,17 +5,11 @@ package mincore
 // output path — because a full run takes minutes; `make bench-speed` /
 // scripts/bench_speed.sh is the supported entry point.
 //
-// It measures the three layers of the speed work on the ξ≈260 bench
-// instance (n=5000, d=5, seed 7):
-//
-//   - cold dominance-graph build: the pooled, warm-started edge-LP loop
-//     against the baseline that solves every pair cold from a fresh
-//     problem (ns/op and allocs/op, min-of-3 against 1-CPU scheduler
-//     noise) — the committed speedup and allocation-diet ratios;
-//   - cold certified auto build end to end (New + Coreset), prefilter
-//     on vs off (off through the unexported noPrefilter hook, which is
-//     why this file sits in package mincore);
-//   - the prefilter ratio n/ξ — how much smaller the work instance is.
+// It measures the cold dominance-graph build on the ξ≈260 bench
+// instance (n=5000, d=5, seed 7): the pooled, warm-started edge-LP loop
+// against the baseline that solves every pair cold from a fresh problem
+// (ns/op and allocs/op, min-of-3 against 1-CPU scheduler noise) — the
+// committed speedup and allocation-diet ratios.
 
 import (
 	"encoding/json"
@@ -91,32 +85,6 @@ func TestWriteBenchSpeed(t *testing.T) {
 			allocRatio, base.AllocsPerOp(), fast.AllocsPerOp())
 	}
 
-	// Cold certified auto build end to end: a fresh Coreseter every
-	// iteration, so preprocessing, the DG, certification, and repair all
-	// run cold. Prefilter on vs off isolates the work-instance win.
-	pts := make([]Point, len(ds.Points))
-	for i, p := range ds.Points {
-		pts[i] = Point(p)
-	}
-	coldBuild := func(pf bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cs, err := New(pts, WithSeed(1), WithWorkers(1), withHooks(!pf, false))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := cs.Coreset(0.1, Auto); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	autoOn := minNs(3, coldBuild(true))
-	autoOff := minNs(3, coldBuild(false))
-	entries["coreset_auto_cold/prefilter_on"] = toEntry(autoOn)
-	entries["coreset_auto_cold/prefilter_off"] = toEntry(autoOff)
-
 	snapshot := map[string]any{
 		"go":         runtime.Version(),
 		"goos":       runtime.GOOS,
@@ -129,15 +97,6 @@ func TestWriteBenchSpeed(t *testing.T) {
 			"alloc_ratio": allocRatio,
 			"note":        "baseline (cold per-pair LPs) vs pooled+warm, workers=1, min-of-3 ns/op",
 		},
-		"auto_build": map[string]any{
-			"prefilter_speedup": float64(autoOff.NsPerOp()) / float64(autoOn.NsPerOp()),
-			"note":              "cold certified auto build, prefilter off vs on, min-of-3 ns/op",
-		},
-		"prefilter": map[string]any{
-			"n": n, "xi": xi,
-			"ratio": float64(n) / float64(xi),
-			"note":  "work-instance shrink factor n/xi on the bench instance",
-		},
 	}
 	f, err := os.Create(out)
 	if err != nil {
@@ -149,6 +108,5 @@ func TestWriteBenchSpeed(t *testing.T) {
 	if err := enc.Encode(snapshot); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s (DG speedup %.2fx, alloc ratio %.2fx, prefilter %d -> %d)",
-		out, dgSpeedup, allocRatio, n, xi)
+	t.Logf("wrote %s (DG speedup %.2fx, alloc ratio %.2fx)", out, dgSpeedup, allocRatio)
 }

@@ -61,7 +61,6 @@ type Instance struct {
 	// 2D-only caches (nil in higher dimensions).
 	BoundaryVecs []geom.Vector // u*_i between consecutive extreme points
 
-	tree    *mips.KDTree // over Pts
 	extTree *mips.KDTree // over ExtPts
 
 	// Dominance-graph substrate memo: the witness directions and the
@@ -74,9 +73,10 @@ type Instance struct {
 }
 
 // NewInstance preprocesses pts: extracts extreme points (Clarkson / hulls),
-// measures fatness, and builds search structures. pts must already be
-// α-fat in [−1,1]^d; it is retained, not copied.
-func NewInstance(pts []geom.Vector, opts ...hull.Option) (*Instance, error) {
+// measures fatness, and builds the kd-tree over the extreme points that
+// every directional maximum query runs on. pts must already be α-fat in
+// [−1,1]^d; it is retained, not copied.
+func NewInstance(pts []geom.Vector) (*Instance, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("core: empty point set")
 	}
@@ -84,7 +84,7 @@ func NewInstance(pts []geom.Vector, opts ...hull.Option) (*Instance, error) {
 	inst := &Instance{Pts: pts, D: d}
 
 	var err error
-	inst.X, err = hull.ExtremePoints(pts, opts...)
+	inst.X, err = hull.ExtremePoints(pts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -112,7 +112,6 @@ func NewInstance(pts []geom.Vector, opts ...hull.Option) (*Instance, error) {
 		}
 		inst.BoundaryVecs = bv
 	}
-	inst.tree = mips.NewKDTree(pts)
 	inst.extTree = mips.NewKDTree(inst.ExtPts)
 	return inst, nil
 }
@@ -120,12 +119,12 @@ func NewInstance(pts []geom.Vector, opts ...hull.Option) (*Instance, error) {
 // NewInstanceFromExtremes builds an instance over a point set that is
 // already known to consist solely of extreme points in canonical order —
 // the ExtPts of a previously built instance (CCW-sorted for d=2). It
-// skips hull enumeration entirely: X is the identity and both search
-// trees share one kd-tree. This is the extreme-point prefilter's work
-// instance: every derived structure (ExtPts order, fatness, boundary
-// vectors) is bitwise identical to the parent's, so algorithms running
-// on it produce the same selections as on the parent, just over ξ
-// points instead of n.
+// skips hull enumeration entirely and X is the identity. Every derived
+// structure (ExtPts order, fatness, boundary vectors) is bitwise
+// identical to the parent's, so the extreme-point algorithms select the
+// same points as on the parent, in ξ-point indexing. The library no
+// longer calls it: DSMC and SCMC index the parent's X directly. It stays
+// for the benchmark's setup replay.
 func NewInstanceFromExtremes(extPts []geom.Vector) (*Instance, error) {
 	if len(extPts) == 0 {
 		return nil, fmt.Errorf("core: empty point set")
@@ -148,8 +147,7 @@ func NewInstanceFromExtremes(extPts []geom.Vector) (*Instance, error) {
 		}
 		inst.BoundaryVecs = bv
 	}
-	inst.tree = mips.NewKDTree(extPts)
-	inst.extTree = inst.tree
+	inst.extTree = mips.NewKDTree(extPts)
 	return inst, nil
 }
 
@@ -171,12 +169,6 @@ func (inst *Instance) ExtremeAt(u geom.Vector) int {
 	i, _ := inst.extTree.MaxDot(u)
 	return inst.X[i]
 }
-
-// Tree exposes the kd-tree over all points (used by SCMC's range queries).
-func (inst *Instance) Tree() *mips.KDTree { return inst.tree }
-
-// ExtTree exposes the kd-tree over the extreme points.
-func (inst *Instance) ExtTree() *mips.KDTree { return inst.extTree }
 
 // sortedByAngle returns the given point indices sorted CCW by polar angle
 // (2D helper).

@@ -210,7 +210,7 @@ func (inst *Instance) ownerLPsCtx(ctx context.Context, q []int, eps float64, cut
 
 	inQ := make(map[string]bool, len(qx))
 	for _, qp := range qx {
-		inQ[coordKey(qp)] = true
+		inQ[string(geom.AppendKey(nil, qp))] = true
 	}
 	errs := make([]error, len(inst.ExtPts))
 	var lossOne atomic.Bool
@@ -226,7 +226,7 @@ func (inst *Instance) ownerLPsCtx(ctx context.Context, q []int, eps float64, cut
 		t := inst.ExtPts[k]
 		// Owners that are themselves in Q contribute nothing: the
 		// constraint ⟨t,u⟩ ≤ 1−x with ⟨t,u⟩ = 1 forces x ≤ 0.
-		if inQ[coordKey(t)] {
+		if inQ[string(geom.AppendKey(nil, t))] {
 			return
 		}
 		scr := &scratch[w]
@@ -444,17 +444,6 @@ func clampLoss(l float64) float64 {
 		return 1
 	}
 	return l
-}
-
-func coordKey(v geom.Vector) string {
-	b := make([]byte, 0, 8*len(v))
-	for _, c := range v {
-		u := math.Float64bits(c)
-		for i := 0; i < 8; i++ {
-			b = append(b, byte(u>>(8*i)))
-		}
-	}
-	return string(b)
 }
 
 func identity(n int) []int {

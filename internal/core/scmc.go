@@ -155,10 +155,9 @@ func (inst *Instance) SCMCNet(eps, delta float64, opts SCMCOptions) ([]int, int,
 // cover over extreme candidates always exists, and the cut loop's exact
 // oracle vets every cover — the restriction never costs correctness. It
 // also keys the whole computation (threshold queries, owner ordering,
-// greedy tie-breaks) to the extreme-point indexing, which is what makes
-// the extreme-point prefilter's work instance produce exactly the same
-// cover as the full instance, and shrinks the range queries from n
-// points to ξ.
+// greedy tie-breaks) to the extreme-point indexing, so the cover depends
+// only on X and ExtPts, never on the interior points, and the range
+// queries run over ξ points instead of n.
 func (inst *Instance) scmcHits(ctx context.Context, dirs []geom.Vector, gamma float64) ([][]int, error) {
 	hits := make([][]int, len(dirs))
 	bufs := make([][]int, parallel.WorkersFor(inst.Workers, len(dirs)))

@@ -125,6 +125,29 @@ func TestCompleteBasis(t *testing.T) {
 	}
 }
 
+// AppendKey's layout is fixed: each coordinate's Float64bits as 8
+// little-endian bytes, in order, appended after whatever b holds. Exact
+// identity, not tolerance: −0 and 0 get different keys.
+func TestAppendKeyLayout(t *testing.T) {
+	v := Vector{1, 0, math.Copysign(0, -1), 3.5e-300, math.Inf(-1)}
+	var want []byte
+	for _, c := range v {
+		u := math.Float64bits(c)
+		for i := 0; i < 8; i++ {
+			want = append(want, byte(u>>(8*i)))
+		}
+	}
+	if got := AppendKey(nil, v); string(got) != string(want) {
+		t.Fatalf("AppendKey = %x, want %x", got, want)
+	}
+	if got := AppendKey([]byte("p:"), v); string(got) != "p:"+string(want) {
+		t.Fatalf("AppendKey with prefix = %x", got)
+	}
+	if string(AppendKey(nil, Vector{0})) == string(AppendKey(nil, Vector{math.Copysign(0, -1)})) {
+		t.Fatal("0 and −0 share a key")
+	}
+}
+
 func TestPerturbDedup(t *testing.T) {
 	pts := []Vector{{1, 1}, {1, 1}, {2, 2}}
 	dd := Dedup(pts)

@@ -1,8 +1,10 @@
 package geom
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // The paper assumes P is in general linear position (Section 2). Real and
@@ -35,10 +37,7 @@ func Dedup(pts []Vector) []Vector {
 	out := make([]Vector, 0, len(pts))
 	buf := make([]byte, 0, 64)
 	for _, p := range pts {
-		buf = buf[:0]
-		for _, c := range p {
-			buf = appendFloatKey(buf, c)
-		}
+		buf = AppendKey(buf[:0], p)
 		k := string(buf)
 		if _, ok := seen[k]; ok {
 			continue
@@ -49,11 +48,15 @@ func Dedup(pts []Vector) []Vector {
 	return out
 }
 
-func appendFloatKey(b []byte, f float64) []byte {
-	// Exact bit pattern; distinguishes -0 from 0, which is fine for dedup.
-	u := math.Float64bits(f)
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(u>>(8*i)))
+// AppendKey appends v's exact coordinate key to b and returns the
+// extended buffer: each coordinate's IEEE-754 bit pattern, little-endian,
+// in order. Two vectors of one dimension have equal keys exactly when
+// they are bitwise equal (−0 and 0 differ, which is fine for identity
+// lookups and dedup). string(AppendKey(nil, v)) is a map key for v.
+func AppendKey(b []byte, v Vector) []byte {
+	b = slices.Grow(b, 8*len(v))
+	for _, c := range v {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c))
 	}
 	return b
 }

@@ -146,16 +146,15 @@ func (s *Summary) Size() int { return len(s.Coreset()) }
 func (s *Summary) Coreset() []geom.Vector {
 	seen := make(map[string]bool, len(s.best))
 	var out []geom.Vector
-	for k, p := range s.best {
+	for _, p := range s.best {
 		if p == nil {
 			continue
 		}
-		key := vecKey(p)
+		key := string(geom.AppendKey(nil, p))
 		if !seen[key] {
 			seen[key] = true
 			out = append(out, p)
 		}
-		_ = k
 	}
 	return out
 }
@@ -211,17 +210,6 @@ func (s *Summary) Omega(u geom.Vector) float64 {
 		}
 	}
 	return best
-}
-
-func vecKey(v geom.Vector) string {
-	b := make([]byte, 0, 8*len(v))
-	for _, c := range v {
-		u := math.Float64bits(c)
-		for i := 0; i < 8; i++ {
-			b = append(b, byte(u>>(8*i)))
-		}
-	}
-	return string(b)
 }
 
 // Slot is one non-empty champion slot of a summary state: the direction

@@ -35,10 +35,10 @@ func TestSummaryBasics(t *testing.T) {
 	// Champions are stream members.
 	in := make(map[string]bool, len(pts))
 	for _, p := range pts {
-		in[vecKey(p)] = true
+		in[string(geom.AppendKey(nil, p))] = true
 	}
 	for _, p := range q {
-		if !in[vecKey(p)] {
+		if !in[string(geom.AppendKey(nil, p))] {
 			t.Fatal("champion is not a stream point")
 		}
 	}
@@ -126,11 +126,11 @@ func TestSummaryCoresetLoss(t *testing.T) {
 	// Map champions back to indices.
 	idx := make(map[string]int, len(pts))
 	for i, p := range pts {
-		idx[vecKey(p)] = i
+		idx[string(geom.AppendKey(nil, p))] = i
 	}
 	ids := make([]int, len(q))
 	for i, p := range q {
-		ids[i] = idx[vecKey(p)]
+		ids[i] = idx[string(geom.AppendKey(nil, p))]
 	}
 	if l := inst.LossExactLP(ids); l > 0.1 {
 		t.Fatalf("streamed coreset loss %v > 0.1 (m=%d, |Q|=%d)", l, m, len(q))

@@ -116,11 +116,10 @@ type Options struct {
 	// Report.CacheHit = true.
 	BuildCache int
 
-	// noPrefilter and coldLP are test hooks onto the reference paths:
-	// DSMC and SCMC on the full instance instead of the ξ-point work
-	// instance, and every dominance-graph edge LP solved cold. Both are
-	// bitwise-invisible in outputs (DESIGN.md §15).
-	noPrefilter, coldLP bool
+	// coldLP is a test hook onto the reference path: every
+	// dominance-graph edge LP solved cold. It is bitwise-invisible in
+	// outputs (DESIGN.md §15).
+	coldLP bool
 }
 
 // Coreseter is a preprocessed dataset ready to produce coresets at any ε.
@@ -134,17 +133,8 @@ type Coreseter struct {
 	aff  *transform.Affine // nil when SkipNormalize
 	opts Options
 
-	// work is the instance the extreme-point-restricted algorithms (DSMC,
-	// SCMC) run against: a ξ-point instance built from inst's hull
-	// vertices when the prefilter is active, inst itself otherwise. remap
-	// translates work-instance indices back to inst indices (nil when
-	// work == inst). Certification always measures on inst, so results
-	// are identical with the prefilter on or off.
-	work  *core.Instance
-	remap []int
-
 	dgMu sync.Mutex
-	dg   *core.DominanceGraph // lazily built for DSMC (on the work instance)
+	dg   *core.DominanceGraph // lazily built for DSMC
 
 	// cache memoizes successful builds per (algorithm, quantized ε) with
 	// singleflight dedup; nil when disabled via WithBuildCache.
@@ -273,34 +263,8 @@ func New(points []Point, opts ...Option) (*Coreseter, error) {
 	inst.Workers = o.Workers
 	inst.DisableLPWarmStart = o.coldLP
 	c.inst = inst
-	c.work, c.remap = deriveWorkInstance(inst, o)
 	return c, nil
 }
-
-// deriveWorkInstance builds the prefiltered ξ-point instance DSMC and
-// SCMC run against, with the index remap back into inst's point order.
-// The prefilter is exact — only hull vertices can realize a directional
-// maximum, so restricting the candidate pool loses nothing (DESIGN.md
-// §15) — and it is skipped when it would not shrink the instance or
-// when the noPrefilter hook is set. Any construction failure falls back
-// to the full instance: the prefilter is an optimization, never a
-// correctness gate.
-func deriveWorkInstance(inst *core.Instance, o Options) (*core.Instance, []int) {
-	if o.noPrefilter || inst.Xi() >= inst.N() {
-		return inst, nil
-	}
-	work, err := core.NewInstanceFromExtremes(inst.ExtPts)
-	if err != nil {
-		return inst, nil
-	}
-	work.Workers = o.Workers
-	work.DisableLPWarmStart = o.coldLP
-	return work, inst.X
-}
-
-// prefiltered reports whether the extreme-point prefilter is active: the
-// work instance is a strict restriction of the full one.
-func (c *Coreseter) prefiltered() bool { return c.work != c.inst }
 
 // N returns the number of (deduplicated) points.
 func (c *Coreseter) N() int { return c.inst.N() }
@@ -454,7 +418,7 @@ func (c *Coreseter) buildOnce(ctx context.Context, eps float64, algo Algorithm, 
 	}
 	sp := tr.Root.StartChild(fmt.Sprintf("attempt(%s)#1", algo))
 	bsp := sp.StartChild("build-indices")
-	idx, err := c.buildIndices(ctx, c.env(), eps, algo, bsp)
+	idx, err := c.buildIndices(ctx, c.inst, eps, algo, bsp)
 	if err != nil {
 		bsp.SetAttr("error", err.Error())
 	}
@@ -478,7 +442,7 @@ func (c *Coreseter) buildOnce(ctx context.Context, eps float64, algo Algorithm, 
 	q.Report = &BuildReport{
 		Requested: algo, Algorithm: algo, Eps: eps,
 		CertifiedLoss: q.Loss, Certified: q.Loss <= eps+certTol,
-		Attempts: 1, Prefiltered: c.prefiltered(), Trace: tr,
+		Attempts: 1, Trace: tr,
 	}
 	return q, nil
 }
@@ -590,8 +554,7 @@ func (c *Coreseter) FixedSizeCtx(ctx context.Context, r int, algo Algorithm) (*C
 	rep := &BuildReport{
 		Requested: algo, Algorithm: algo, Eps: eps,
 		CertifiedLoss: q.Loss, Certified: q.Loss <= eps+certTol,
-		Attempts: attempts, Prefiltered: c.prefiltered(),
-		Wall: time.Since(start), Trace: tr,
+		Attempts: attempts, Wall: time.Since(start), Trace: tr,
 	}
 	q.Report = rep
 	if !rep.Certified && !c.opts.SkipCertify {
@@ -673,17 +636,16 @@ func (c *Coreseter) LossProfile(indices []int, k int) []float64 {
 // dominanceGraphCtx lazily builds the IPDG and dominance graph
 // (Algorithm 2) under the mutex, memoizing only successful builds: a
 // build aborted by ctx cancellation leaves the cache empty so the next
-// caller retries with its own context. The graph is built on the work
-// instance — the IPDG and every edge LP only ever touch extreme points,
-// so the graph is bitwise identical to one built on the full instance.
+// caller retries with its own context. The IPDG and every edge LP only
+// ever touch the extreme points, so the graph is indexed by X.
 func (c *Coreseter) dominanceGraphCtx(ctx context.Context) (*core.DominanceGraph, error) {
 	c.dgMu.Lock()
 	defer c.dgMu.Unlock()
 	if c.dg != nil {
 		return c.dg, nil
 	}
-	ipdg := c.work.BuildIPDG(c.opts.IPDGSamples, c.opts.Seed+13)
-	dg, err := c.work.BuildDominanceGraphCtx(ctx, ipdg)
+	ipdg := c.inst.BuildIPDG(c.opts.IPDGSamples, c.opts.Seed+13)
+	dg, err := c.inst.BuildDominanceGraphCtx(ctx, ipdg)
 	if err != nil {
 		return nil, err
 	}

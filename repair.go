@@ -32,38 +32,6 @@ import (
 // Structural errors (wrong dimension, cancelled context) abort
 // immediately: repair is for numerical failures, not caller mistakes.
 
-// buildEnv is the pair of instances one build attempt runs against:
-// full is what certification measures on and what the full-instance
-// algorithms (OptMC, MC1D, ANN, stream sketch) consume; work is the
-// (possibly prefiltered) instance DSMC and SCMC run on, with remap
-// translating its indices back into full's point order (nil when
-// work == full).
-type buildEnv struct {
-	full  *core.Instance
-	work  *core.Instance
-	remap []int
-}
-
-// env returns the Coreseter's standing build environment.
-func (c *Coreseter) env() buildEnv {
-	return buildEnv{full: c.inst, work: c.work, remap: c.remap}
-}
-
-// remapped translates work-instance indices into full-instance indices.
-// The identity when the prefilter is off; otherwise work index i is the
-// i-th extreme point, and remap (the full instance's X) holds its
-// original position.
-func (e buildEnv) remapped(idx []int) []int {
-	if e.remap == nil || idx == nil {
-		return idx
-	}
-	out := make([]int, len(idx))
-	for i, v := range idx {
-		out[i] = e.remap[v]
-	}
-	return out
-}
-
 // maxRetries resolves Options.MaxRetries: 0 means the default of one
 // re-seeded retry per chain entry, negative disables retries.
 func (c *Coreseter) maxRetries() int {
@@ -143,7 +111,7 @@ func (c *Coreseter) buildCertified(ctx context.Context, eps float64, algo Algori
 	if cacheState != "" {
 		tr.Root.SetAttr("cache", cacheState)
 	}
-	rep := &BuildReport{Requested: algo, Eps: eps, Prefiltered: c.prefiltered(), Trace: tr}
+	rep := &BuildReport{Requested: algo, Eps: eps, Trace: tr}
 	certEps := eps
 	if algo == Auto && c.Dim() == 1 {
 		certEps = math.Max(eps, 0) // loss of the 1D 0-coreset is exactly 0
@@ -162,14 +130,14 @@ func (c *Coreseter) buildCertified(ctx context.Context, eps float64, algo Algori
 				return nil, err
 			}
 			sp := tr.Root.StartChild(fmt.Sprintf("attempt(%s)#%d", a, attempt+1))
-			env := c.env()
+			inst := c.inst
 			if attempt > 0 {
 				rep.Retries++
 				mBuildRetries.Inc()
 				rep.Fallbacks = append(rep.Fallbacks, fmt.Sprintf("retry(%s)#%d", a, attempt))
 				jsp := sp.StartChild("reperturb")
 				var jerr error
-				env, jerr = c.jitteredEnv(attempt)
+				inst, jerr = c.jitteredInstance(attempt)
 				if jerr != nil {
 					jsp.SetAttr("error", jerr.Error())
 					jsp.End()
@@ -182,7 +150,7 @@ func (c *Coreseter) buildCertified(ctx context.Context, eps float64, algo Algori
 			rep.Attempts++
 			mBuildAttempts.Inc()
 			bsp := sp.StartChild("build-indices")
-			idx, err := c.buildIndices(ctx, env, eps, a, bsp)
+			idx, err := c.buildIndices(ctx, inst, eps, a, bsp)
 			if err != nil {
 				bsp.SetAttr("error", err.Error())
 				bsp.End()
@@ -241,14 +209,13 @@ func (c *Coreseter) buildCertified(ctx context.Context, eps float64, algo Algori
 	return nil, &UncertifiedError{Coreset: best, Report: rep, Err: errors.Join(attemptErrs...)}
 }
 
-// jitteredEnv rebuilds the instance under a re-seeded perturbation whose
-// scale doubles with each retry, then re-derives the prefiltered work
-// instance from the jittered hull (the perturbation moves points, so the
-// extreme set and its order may differ from the original's).
+// jitteredInstance rebuilds the instance under a re-seeded perturbation
+// whose scale doubles with each retry (the perturbation moves points, so
+// the extreme set and its order may differ from the original's).
 // Perturbation preserves point order, so indices computed on the
-// jittered environment — after the work→full remap — are valid on the
-// original instance, where certification always measures.
-func (c *Coreseter) jitteredEnv(attempt int) (buildEnv, error) {
+// jittered instance are valid on the original one, where certification
+// always measures.
+func (c *Coreseter) jitteredInstance(attempt int) (*core.Instance, error) {
 	scale := c.opts.PerturbScale
 	if scale <= 0 {
 		scale = 1e-9
@@ -257,35 +224,32 @@ func (c *Coreseter) jitteredEnv(attempt int) (buildEnv, error) {
 	pts := geom.Perturb(c.inst.Pts, scale, c.opts.Seed+9973*int64(attempt))
 	inst, err := core.NewInstance(pts)
 	if err != nil {
-		return buildEnv{}, fmt.Errorf("mincore: repair perturbation: %w", err)
+		return nil, fmt.Errorf("mincore: repair perturbation: %w", err)
 	}
 	inst.Workers = c.opts.Workers
 	inst.DisableLPWarmStart = c.opts.coldLP
-	work, remap := deriveWorkInstance(inst, c.opts)
-	return buildEnv{full: inst, work: work, remap: remap}, nil
+	return inst, nil
 }
 
-// buildIndices runs one algorithm against one build environment and
-// returns raw coreset indices in full-instance order. DSMC and SCMC run
-// on env.work — the ξ-point prefiltered instance when the prefilter is
-// active — and their results are remapped; the other algorithms consume
-// env.full directly (OptMC can select interior candidate points, and
-// ANN/stream-sketch conceptually cover the whole set). It never recurses
-// into the certified path, so repair attempts cannot trigger nested
-// repair chains. Phase spans are recorded under sp (nil-safe: a nil span
-// just skips tracing).
-func (c *Coreseter) buildIndices(ctx context.Context, env buildEnv, eps float64, algo Algorithm, sp *obs.Span) ([]int, error) {
+// buildIndices runs one algorithm against one instance — the standing
+// one, or a jittered one on a repair retry — and returns raw coreset
+// indices in its point order. DSMC and SCMC select among the extreme
+// points X and map their picks back through it. It never recurses into
+// the certified path, so repair attempts cannot trigger nested repair
+// chains. Phase spans are recorded under sp (nil-safe: a nil span just
+// skips tracing).
+func (c *Coreseter) buildIndices(ctx context.Context, inst *core.Instance, eps float64, algo Algorithm, sp *obs.Span) ([]int, error) {
 	switch algo {
 	case Auto:
-		return c.autoIndices(ctx, env, eps, sp)
+		return c.autoIndices(ctx, inst, eps, sp)
 	case OptMC:
 		osp := sp.StartChild("optmc")
-		idx, err := env.full.OptMC(eps)
+		idx, err := inst.OptMC(eps)
 		osp.End()
 		return idx, err
 	case DSMC:
 		dsp := sp.StartChild("dg-build")
-		dg, err := c.dgFor(ctx, env.work)
+		dg, err := c.dgFor(ctx, inst)
 		if err != nil {
 			dsp.SetAttr("error", err.Error())
 			dsp.End()
@@ -296,23 +260,23 @@ func (c *Coreseter) buildIndices(ctx context.Context, env buildEnv, eps float64,
 		dsp.SetAttr("edges", fmt.Sprintf("%d", dg.NumEdges))
 		dsp.End()
 		gsp := sp.StartChild("dsmc-greedy")
-		idx, err := env.work.DSMCRefinedCtx(ctx, dg, eps, 8)
+		idx, err := inst.DSMCRefinedCtx(ctx, dg, eps, 8)
 		gsp.End()
-		return env.remapped(idx), err
+		return idx, err
 	case SCMC:
 		ssp := sp.StartChild("scmc")
-		idx, m, err := env.work.SCMCCtx(ctx, eps, core.SCMCOptions{Seed: c.opts.Seed})
+		idx, m, err := inst.SCMCCtx(ctx, eps, core.SCMCOptions{Seed: c.opts.Seed})
 		ssp.SetAttr("samples", fmt.Sprintf("%d", m))
 		ssp.End()
-		return env.remapped(idx), err
+		return idx, err
 	case ANN:
 		asp := sp.StartChild("ann-kernel")
-		idx, err := kernel.ANN(env.full.Pts, eps, kernel.Options{Seed: c.opts.Seed, Alpha: env.full.Alpha})
+		idx, err := kernel.ANN(inst.Pts, eps, kernel.Options{Seed: c.opts.Seed, Alpha: inst.Alpha})
 		asp.End()
 		return idx, err
 	case StreamSketch:
 		ssp := sp.StartChild("stream-sketch")
-		idx, err := c.streamSketch(env.full, eps)
+		idx, err := c.streamSketch(inst, eps)
 		ssp.End()
 		return idx, err
 	default:
@@ -323,19 +287,19 @@ func (c *Coreseter) buildIndices(ctx context.Context, env buildEnv, eps float64,
 // autoIndices is the Auto policy over raw index builds: OptMC in 2D,
 // otherwise the smaller of DSMC and SCMC, raced on separate goroutines
 // when the worker budget allows.
-func (c *Coreseter) autoIndices(ctx context.Context, env buildEnv, eps float64, sp *obs.Span) ([]int, error) {
-	if env.full.D == 1 {
+func (c *Coreseter) autoIndices(ctx context.Context, inst *core.Instance, eps float64, sp *obs.Span) ([]int, error) {
+	if inst.D == 1 {
 		// Trivial case (Section 3): the two coordinate extremes are an
 		// optimal 0-coreset.
 		msp := sp.StartChild("mc1d")
-		idx, err := env.full.MC1D()
+		idx, err := inst.MC1D()
 		msp.End()
 		return idx, err
 	}
 	var errOpt error
-	if env.full.D == 2 {
+	if inst.D == 2 {
 		osp := sp.StartChild("optmc")
-		idx, err := env.full.OptMC(eps)
+		idx, err := inst.OptMC(eps)
 		if err == nil {
 			osp.End()
 			return idx, nil
@@ -348,8 +312,8 @@ func (c *Coreseter) autoIndices(ctx context.Context, env buildEnv, eps float64, 
 	// mutex-guarded so both children land under sp in start order.
 	var qd, qs []int
 	var errD, errS error
-	runD := func() { qd, errD = c.buildIndices(ctx, env, eps, DSMC, sp) }
-	runS := func() { qs, errS = c.buildIndices(ctx, env, eps, SCMC, sp) }
+	runD := func() { qd, errD = c.buildIndices(ctx, inst, eps, DSMC, sp) }
+	runS := func() { qs, errS = c.buildIndices(ctx, inst, eps, SCMC, sp) }
 	if parallel.Workers(c.opts.Workers) > 1 {
 		parallel.Do(runD, runS)
 	} else {
@@ -372,9 +336,9 @@ func (c *Coreseter) autoIndices(ctx context.Context, env buildEnv, eps float64, 
 }
 
 // dgFor returns the dominance graph for inst: the memoized one for the
-// standing work instance, a fresh build for a jittered repair instance.
+// standing instance, a fresh build for a jittered repair instance.
 func (c *Coreseter) dgFor(ctx context.Context, inst *core.Instance) (*core.DominanceGraph, error) {
-	if inst == c.work {
+	if inst == c.inst {
 		return c.dominanceGraphCtx(ctx)
 	}
 	ipdg := inst.BuildIPDG(c.opts.IPDGSamples, c.opts.Seed+13)
@@ -397,12 +361,12 @@ func (c *Coreseter) streamSketch(inst *core.Instance, eps float64) ([]int, error
 	// wins any (impossible post-dedup) collision.
 	byKey := make(map[string]int, len(inst.Pts))
 	for i := len(inst.Pts) - 1; i >= 0; i-- {
-		byKey[pointKey(inst.Pts[i])] = i
+		byKey[string(geom.AppendKey(nil, inst.Pts[i]))] = i
 	}
 	champs := s.Coreset()
 	idx := make([]int, 0, len(champs))
 	for _, p := range champs {
-		i, ok := byKey[pointKey(p)]
+		i, ok := byKey[string(geom.AppendKey(nil, p))]
 		if !ok {
 			return nil, fmt.Errorf("mincore: stream sketch champion not found in instance")
 		}
@@ -410,16 +374,4 @@ func (c *Coreseter) streamSketch(inst *core.Instance, eps float64) ([]int, error
 	}
 	sort.Ints(idx)
 	return idx, nil
-}
-
-// pointKey is the exact (bitwise) coordinate identity of a point.
-func pointKey(v geom.Vector) string {
-	b := make([]byte, 0, 8*len(v))
-	for _, c := range v {
-		u := math.Float64bits(c)
-		for i := 0; i < 8; i++ {
-			b = append(b, byte(u>>(8*i)))
-		}
-	}
-	return string(b)
 }

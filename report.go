@@ -58,10 +58,6 @@ type BuildReport struct {
 	Fallbacks []string
 	// Wall is the total wall-clock time of the pipeline.
 	Wall time.Duration
-	// Prefiltered reports whether the extreme-point prefilter was active:
-	// DSMC/SCMC ran against the ξ-point work instance instead of the full
-	// one. Indices and measured loss are identical either way.
-	Prefiltered bool
 	// CacheHit marks a result served from the memoized build cache (or
 	// joined to a concurrent identical build) rather than built fresh.
 	// Wall is zero and Trace is a single root span with a cache=hit attr;

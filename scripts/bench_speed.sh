@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Regenerate BENCH_speed.json: the raw-speed snapshot of the extreme-
-# point prefilter, LP warm-starting, and allocation diet — cold
-# dominance-graph build (baseline vs pooled+warm, ns/op and allocs/op),
-# cold certified auto build (prefilter on vs off), and the prefilter
-# shrink ratio n/ξ. Runs the in-process harness in benchspeed_test.go,
-# which is env-gated so the normal test suite never pays for it.
+# Regenerate BENCH_speed.json: the raw-speed snapshot of LP
+# warm-starting and the allocation diet — cold dominance-graph build
+# (baseline vs pooled+warm, ns/op and allocs/op). Runs the in-process
+# harness in benchspeed_test.go, which is env-gated so the normal test
+# suite never pays for it.
 #
 # Usage: scripts/bench_speed.sh [output-path]
 set -euo pipefail

@@ -494,12 +494,29 @@ func TestServeQuotaNotChargedOnShed(t *testing.T) {
 		clock:             func() time.Time { return frozen }, // no refill
 	})
 	block := make(chan struct{})
+	parked := make(chan struct{}, 1)
 	t.Cleanup(svc.Kill)
 	t.Cleanup(func() { close(block) })
-	svc.panicHook = func(p []float64) { <-block }
+	svc.panicHook = func(p []float64) {
+		select {
+		case parked <- struct{}{}:
+		default:
+		}
+		<-block
+	}
 
-	// Park the worker on the first batch and fill the bounded queue.
-	accepted := 0
+	// Park the worker on the first batch, and only then fill the bounded
+	// queue: a fill that raced the worker's first dequeue could see
+	// ErrOverloaded while the worker was about to free a slot.
+	if err := svc.Feed(Point{0, 0}); err != nil {
+		t.Fatalf("Feed #0: %v", err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never dequeued the first batch")
+	}
+	accepted := 1
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		err := svc.Feed(Point{float64(accepted), 0})
