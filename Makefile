@@ -125,16 +125,19 @@ bench-speed:
 	./scripts/bench_speed.sh
 
 # Raw-speed correctness: the warm-start × worker-count determinism
-# matrix and SCMC's cut loop (multiplier and Farkas cut readouts, pinned
+# matrix, the gauge loss oracle against the per-owner dual LP it
+# replaced (owner by owner, across worker counts and warm-start on/off),
+# and SCMC's cut loop (multiplier and Farkas cut readouts, pinned
 # sizes, round bound, cancellation, worker-count determinism) under the
-# race detector, then the allocation-regression gates (plain — race
-# instrumentation inflates alloc counts, and the gate files are built
-# with //go:build !race), then the pinned public build outputs and the
-# Clarkson scan's pinned extreme-point sequences, brute-force reference
-# and screen yield stop (plain — the scan is sequential).
+# race detector, then the allocation-regression gates of the DG build
+# and the loss oracle (plain — race instrumentation inflates alloc
+# counts, and the gate files are built with //go:build !race), then the
+# pinned public build outputs and the Clarkson scan's pinned
+# extreme-point sequences, brute-force reference and screen yield stop
+# (plain — the scan is sequential).
 speed:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestWarmStartWorkerMatrix|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
-	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs' ./internal/lp/ ./internal/core/
+		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestWarmStartWorkerMatrix|TestGaugeOracleMatchesReference|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
+	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestLossOracleAllocs' ./internal/lp/ ./internal/core/
 	$(GO) test -count=1 -run 'TestBuildOutputsPinned' .
 	$(GO) test -count=1 -run 'TestExtremePointsPinned|TestExtremePointsMatchBrute|TestScreenYield' ./internal/hull/

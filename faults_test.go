@@ -144,28 +144,54 @@ func TestFaultUncertifiedDegrade(t *testing.T) {
 	}
 }
 
-// With every LP in the process failing at the pivot, nothing can be
-// measured, so the pipeline must surface a typed uncertified error that
-// also unwraps to the numerical-instability sentinel.
+// With every LP in the process failing at the pivot, nothing that needs
+// an LP can be measured. A build may still certify, but only with a
+// coreset that needs none: one containing every extreme point, whose
+// loss is exactly 0 because each owner of the exact loss oracle
+// coincides with a point of Q and no LP runs. Any other build must
+// surface a typed uncertified error that also unwraps to the
+// numerical-instability sentinel. On the small cloud the fallback chain
+// reaches ANN, whose result holds the whole extreme set; on the large
+// one no fallback does. Both branches must occur, so neither is vacuous.
 func TestFaultSimplexPivotTotalFailure(t *testing.T) {
-	cs := newFaultCoreseter(t, 100, 3, 43)
-	faultinject.Enable(faultinject.Config{Rate: 1, Sites: []faultinject.Site{
-		faultinject.SiteSimplexPivot, faultinject.SiteLossLP, faultinject.SiteDGBuild,
-	}})
-	defer faultinject.Disable()
-
-	_, err := cs.Coreset(0.1, mincore.DSMC)
-	if err == nil {
-		t.Fatal("total LP failure should not produce a certified coreset")
+	certified, uncertified := 0, 0
+	for _, n := range []int{100, 1000} {
+		cs := newFaultCoreseter(t, n, 3, 43)
+		faultinject.Enable(faultinject.Config{Rate: 1, Sites: []faultinject.Site{
+			faultinject.SiteSimplexPivot, faultinject.SiteLossLP, faultinject.SiteDGBuild,
+		}})
+		q, err := cs.Coreset(0.1, mincore.DSMC)
+		dgHits := faultinject.Hits(faultinject.SiteDGBuild)
+		faultinject.Disable()
+		if dgHits == 0 {
+			t.Fatalf("n=%d: dominance-graph failpoint never evaluated", n)
+		}
+		if err == nil {
+			certified++
+			in := make(map[int]bool, len(q.Indices))
+			for _, i := range q.Indices {
+				in[i] = true
+			}
+			for _, x := range cs.Instance().X {
+				if !in[x] {
+					t.Fatalf("n=%d: certified under total LP failure without extreme point %d", n, x)
+				}
+			}
+			if q.Loss != 0 || q.Report == nil || !q.Report.Certified || q.Report.CertifiedLoss != 0 {
+				t.Fatalf("n=%d: certified under total LP failure at loss %v: %+v", n, q.Loss, q.Report)
+			}
+			continue
+		}
+		uncertified++
+		if !errors.Is(err, mincore.ErrUncertified) {
+			t.Fatalf("n=%d: err = %v, want errors.Is ErrUncertified", n, err)
+		}
+		if !errors.Is(err, mincore.ErrNumericalInstability) {
+			t.Fatalf("n=%d: err = %v, want errors.Is ErrNumericalInstability", n, err)
+		}
 	}
-	if !errors.Is(err, mincore.ErrUncertified) {
-		t.Fatalf("err = %v, want errors.Is ErrUncertified", err)
-	}
-	if !errors.Is(err, mincore.ErrNumericalInstability) {
-		t.Fatalf("err = %v, want errors.Is ErrNumericalInstability", err)
-	}
-	if hits := faultinject.Hits(faultinject.SiteDGBuild); hits == 0 {
-		t.Fatal("dominance-graph failpoint never evaluated")
+	if certified == 0 || uncertified == 0 {
+		t.Fatalf("%d certified and %d uncertified builds; both branches must occur", certified, uncertified)
 	}
 }
 

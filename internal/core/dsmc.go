@@ -310,23 +310,33 @@ func (e domEdgesByWeight) Less(i, j int) bool {
 }
 
 // dgSubstrate returns the memoized dominance-graph build substrate:
-// the per-cell witness directions and the greedy nearest-neighbor scan
-// tour. Both are pure deterministic functions of the extreme points,
-// so one computation serves every build on this instance.
+// the per-cell witness directions and the scan tour (scanOrder). Both
+// are pure deterministic functions of the extreme points, so one
+// computation serves every build on this instance.
 func (inst *Instance) dgSubstrate() ([][]geom.Vector, []int) {
 	inst.dgOnce.Do(func() {
 		inst.dgWitnesses = inst.cellWitnesses(16*inst.Xi(), 8)
-		inst.dgTour = scanTour(inst.ExtPts)
 	})
-	return inst.dgWitnesses, inst.dgTour
+	return inst.dgWitnesses, inst.scanOrder()
+}
+
+// scanOrder returns the memoized scanTour of ExtPts, the order in which
+// the dominance-graph pair loop and the loss oracle's owner scan feed
+// right-hand sides to their warm-started solvers. A build without the
+// dominance graph does not pay for its witness directions.
+func (inst *Instance) scanOrder() []int {
+	inst.tourOnce.Do(func() {
+		inst.tour = scanTour(inst.ExtPts)
+	})
+	return inst.tour
 }
 
 // scanTour returns a greedy nearest-neighbor tour over the points,
 // starting at index 0 and always stepping to the closest unvisited
 // point (squared Euclidean distance, ties to the smaller index). The
-// dominance-graph pair loop scans in this order so that consecutive LP
+// warm-started LP loops scan in this order so that consecutive
 // right-hand sides are spatially close — the property the solver's
-// warm tiers feed on. O(ξ²·d), a rounding error next to the ξ² LPs it
+// warm tiers feed on. O(ξ²·d), a rounding error next to the LPs it
 // accelerates, and fully deterministic.
 func scanTour(pts []geom.Vector) []int {
 	n := len(pts)

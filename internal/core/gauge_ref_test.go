@@ -1,0 +1,243 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"mincore/internal/data"
+	"mincore/internal/geom"
+	"mincore/internal/lp"
+)
+
+// refOwnerLoss is the reference for one owner of the exact loss oracle:
+// the per-owner LP the oracle solved before the gauge reformulation,
+// max x s.t. ⟨q,u⟩ + x ≤ 1 ∀q ∈ Q, ⟨t,u⟩ = 1, through its dual
+//
+//	min Σ_q y_q + z   s.t.  Σ_q y_q·q + z·t = 0,  Σ_q y_q = 1,
+//	                        y ≥ 0, z free,
+//
+// built fresh and solved cold over every point of Q (no hull scan). It
+// returns the LP optimum, or 1 for an infeasible dual (an unbounded
+// primal: Q leaves a direction cone around t uncovered).
+func refOwnerLoss(t geom.Vector, qx []geom.Vector, d int) (float64, error) {
+	nq := len(qx)
+	prob := lp.NewProblem(nq + 1) // vars: y_q ≥ 0, z free
+	for j := 0; j < nq; j++ {
+		prob.SetNonNegative(j)
+	}
+	obj := make([]float64, nq+1)
+	for j := range obj {
+		obj[j] = 1
+	}
+	prob.SetObjective(obj, false)
+	row := make([]float64, nq+1)
+	for i := 0; i < d; i++ {
+		for j, qp := range qx {
+			row[j] = qp[i]
+		}
+		row[nq] = t[i]
+		prob.AddEQ(row, 0)
+	}
+	for j := 0; j < nq; j++ {
+		row[j] = 1
+	}
+	row[nq] = 0
+	prob.AddEQ(row, 1)
+	sol := prob.Solve()
+	switch sol.Status {
+	case lp.Optimal:
+		return sol.Value, nil
+	case lp.Infeasible:
+		return 1, nil
+	default:
+		return 0, fmt.Errorf("reference owner LP: status %v", sol.Status)
+	}
+}
+
+// gaugeRefQSets returns the subsets the oracle is checked on: each ε's
+// Auto coreset (the smaller of DSMC with refinement and SCMC, as the
+// public Auto builds in d ≥ 3), a seeded half of X, a seeded mix of
+// extreme and interior points, a one-sided cap that leaves some owners
+// a whole uncovered cone, X itself, and the empty set.
+func gaugeRefQSets(t *testing.T, inst *Instance) []struct {
+	name string
+	q    []int
+} {
+	t.Helper()
+	type qset = struct {
+		name string
+		q    []int
+	}
+	var sets []qset
+	dg, err := inst.BuildDominanceGraph(inst.BuildIPDG(0, 14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{0.20, 0.10, 0.05, 0.02} {
+		qd, err := inst.DSMCRefined(dg, eps, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs, _, err := inst.SCMC(eps, SCMCOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := qd
+		if len(qs) < len(qd) {
+			q = qs
+		}
+		if l := inst.LossExactLP(q); l > eps+1e-9 {
+			t.Fatalf("auto/%.2f: loss %v exceeds ε", eps, l)
+		}
+		sets = append(sets, qset{fmt.Sprintf("auto/%.2f", eps), q})
+	}
+	rng := rand.New(rand.NewSource(1))
+	perm := rng.Perm(inst.Xi())
+	half := make([]int, inst.Xi()/2)
+	for i := range half {
+		half[i] = inst.X[perm[i]]
+	}
+	sets = append(sets, qset{"half-of-X", half})
+
+	extreme := make(map[int]bool, inst.Xi())
+	for _, x := range inst.X {
+		extreme[x] = true
+	}
+	var interior []int
+	for i := range inst.Pts {
+		if !extreme[i] {
+			interior = append(interior, i)
+		}
+	}
+	var mixed []int
+	for _, k := range perm[:inst.Xi()/4] {
+		mixed = append(mixed, inst.X[k])
+	}
+	for _, k := range rng.Perm(len(interior))[:inst.Xi()/4] {
+		mixed = append(mixed, interior[k])
+	}
+	rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+	sets = append(sets, qset{"mixed-interior", mixed})
+
+	var capped []int
+	for k, p := range inst.ExtPts {
+		if p[0] > 0.3 {
+			capped = append(capped, inst.X[k])
+		}
+	}
+	sets = append(sets, qset{"cap", capped})
+	sets = append(sets, qset{"X", append([]int(nil), inst.X...)})
+	sets = append(sets, qset{"empty", nil})
+	return sets
+}
+
+// TestGaugeOracleMatchesReference is the differential test of the exact
+// loss oracle against refOwnerLoss, owner by owner: every clamped
+// per-owner loss within 1e-12 of the reference, loss exactly 1 exactly
+// when the reference reads ≥ 1, the maximum above a dense sampled lower
+// bound, and the per-owner values bitwise identical across worker counts
+// and with LP warm-starting on or off.
+func TestGaugeOracleMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds eight n=1000 instances and their Auto coresets")
+	}
+	ctx := context.Background()
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, dist := range []string{"normal", "uniform"} {
+		for d := 3; d <= 6; d++ {
+			ds := data.Normal(1000, d, 1)
+			if dist == "uniform" {
+				ds = data.Uniform(1000, d, 1)
+			}
+			inst, err := NewInstance(ds.Points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			infeasible := 0
+			for _, set := range gaugeRefQSets(t, inst) {
+				label := fmt.Sprintf("%s-d%d/%s", dist, d, set.name)
+				qx := make([]geom.Vector, len(set.q))
+				for i, id := range set.q {
+					qx[i] = inst.Pts[id]
+				}
+				ref := make([]float64, inst.Xi())
+				for k, owner := range inst.ExtPts {
+					if ref[k], err = refOwnerLoss(owner, qx, d); err != nil {
+						t.Fatalf("%s owner %d: %v", label, k, err)
+					}
+				}
+				var base []float64
+				var baseCuts []geom.Vector
+				for _, workers := range []int{1, 3} {
+					for _, cold := range []bool{false, true} {
+						inst.Workers, inst.DisableLPWarmStart = workers, cold
+						vals, cuts, err := inst.ownerLPsCtx(ctx, set.q, 0, true)
+						if err != nil {
+							t.Fatalf("%s workers=%d cold=%v: %v", label, workers, cold, err)
+						}
+						if base != nil {
+							for k := range vals {
+								if math.Float64bits(vals[k]) != math.Float64bits(base[k]) || !slices.EqualFunc(cuts[k], baseCuts[k], sameBits) {
+									t.Fatalf("%s workers=%d cold=%v owner %d: %x cut %v vs %x cut %v", label, workers, cold, k,
+										math.Float64bits(vals[k]), cuts[k], math.Float64bits(base[k]), baseCuts[k])
+								}
+							}
+							continue
+						}
+						base, baseCuts = vals, cuts
+						for k, v := range vals {
+							if (v == 1) != (ref[k] >= 1) {
+								t.Fatalf("%s owner %d: oracle %v, reference %v", label, k, v, ref[k])
+							}
+							if v == 1 {
+								infeasible++
+							}
+							if diff := math.Abs(clampLoss(v) - clampLoss(ref[k])); diff > 1e-12 {
+								t.Fatalf("%s owner %d: oracle %v, reference %v (|Δ| %.3g)", label, k, v, ref[k], diff)
+							}
+							// A cut must show at least the owner's loss.
+							if u := cuts[k]; u != nil {
+								wq := math.Inf(-1)
+								for _, qp := range qx {
+									wq = math.Max(wq, geom.Dot(qp, u))
+								}
+								if l := clampLoss(1 - wq/inst.Omega(u)); l < clampLoss(v)-1e-12 {
+									t.Fatalf("%s owner %d: cut %v shows loss %v below the owner's %v", label, k, u, l, v)
+								}
+							}
+						}
+					}
+				}
+				inst.Workers, inst.DisableLPWarmStart = 0, false
+				exact := inst.LossExactLP(set.q)
+				if sampled := inst.MaxLossSampled(set.q, 20000, int64(d)); exact < sampled-1e-12 {
+					t.Fatalf("%s: exact loss %v below the sampled lower bound %v", label, exact, sampled)
+				}
+			}
+			if infeasible <= inst.Xi() {
+				// The empty set alone makes ξ owners infeasible; the cap
+				// must add more, or its check is vacuous.
+				t.Fatalf("%s-d%d: only %d loss-1 owners over all sets", dist, d, infeasible)
+			}
+		}
+	}
+}
+
+// The gauge Σλ is 0 only at the origin, which a fat instance never has
+// as an extreme point: an Optimal solve there is a misread, reported as
+// an error so that 1 − 1/g never reaches a loss as −Inf.
+func TestGaugeSolveRejectsZeroGauge(t *testing.T) {
+	inst := fatRandom(t, 200, 3, 73)
+	g := gaugeWorker{prob: gaugeProblem(inst.ExtPts, inst.D)}
+	if sol, err := g.solve(geom.NewVector(inst.D)); !errors.Is(err, ErrNumericalInstability) {
+		t.Fatalf("zero owner: status %v value %v, err %v; want ErrNumericalInstability", sol.Status, sol.Value, err)
+	}
+	if sol, err := g.solve(inst.ExtPts[0]); err != nil || sol.Status != lp.Optimal || math.Abs(sol.Value-1) > 1e-12 {
+		t.Fatalf("owner in Q: status %v value %v, err %v; want gauge 1", sol.Status, sol.Value, err)
+	}
+}

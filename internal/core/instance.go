@@ -52,10 +52,11 @@ type Instance struct {
 	// bitwise identical for every value.
 	Workers int
 
-	// DisableLPWarmStart forces every dominance-graph edge LP to solve
-	// cold instead of warm-starting from the previous pair's basis.
-	// Outputs are bitwise identical either way (see lp.Solver); the
-	// switch exists for determinism tests and benchmarks.
+	// DisableLPWarmStart forces every dominance-graph edge LP and every
+	// gauge LP of the exact loss oracle to solve cold instead of
+	// warm-starting from the previous pair's or owner's basis. Outputs
+	// are bitwise identical either way (see lp.Solver); the switch
+	// exists for determinism tests and benchmarks.
 	DisableLPWarmStart bool
 
 	// 2D-only caches (nil in higher dimensions).
@@ -63,13 +64,13 @@ type Instance struct {
 
 	extTree *mips.KDTree // over ExtPts
 
-	// Dominance-graph substrate memo: the witness directions and the
-	// warm-start scan tour are pure deterministic functions of the
-	// extreme points (fixed sample seed, greedy tour), so repeated
-	// builds on one instance share them. See dgSubstrate.
+	// Memos of pure functions of the extreme points, shared by every
+	// build on the instance: the warm-start scan tour (scanOrder) and the
+	// dominance graph's witness directions (dgSubstrate).
+	tourOnce    sync.Once
+	tour        []int
 	dgOnce      sync.Once
 	dgWitnesses [][]geom.Vector
-	dgTour      []int
 }
 
 // NewInstance preprocesses pts: extracts extreme points (Clarkson / hulls),

@@ -23,9 +23,10 @@ import (
 //   - LossExact2D: exact in R² by enumerating the critical directions —
 //     the Voronoi boundary vectors of X and of the hull of Q, where the
 //     piecewise-monotone loss attains its maxima.
-//   - LossExactLP: exact in any dimension via one LP per extreme point,
-//     the linear program of Nanongkai et al. [35] cited in the hardness
-//     proof (Section 3).
+//   - LossExactLP: exact in any dimension via the gauge of conv(Q): one
+//     LP per extreme point t, min Σλⱼ s.t. Σλⱼqⱼ = t, λ ≥ 0, whose matrix
+//     is Q for every owner, so one warm-started solver per worker serves
+//     the whole owner scan (DESIGN.md §15.6).
 //   - LossSampled: per-direction losses over a direction sample, used for
 //     the loss-distribution experiments (Appendix B) and quick validation.
 //
@@ -127,16 +128,21 @@ func (inst *Instance) LossExact2DCtx(ctx context.Context, q []int) (float64, err
 	return clampLoss(worst), nil
 }
 
-// LossExactLP returns the exact maximum loss of Q in any dimension: for
-// each extreme point t, solve
+// LossExactLP returns the exact maximum loss of Q in any dimension.
+// Comparing support functions, l(Q,P) ≤ ε holds exactly when
+// conv(Q) ⊇ (1−ε)·conv(P), so the loss is read off the gauge of conv(Q)
+// at the extreme points: for each t ∈ X solve
 //
-//	max x  s.t.  ⟨q,u⟩ ≤ 1−x ∀q∈Q,  ⟨t,u⟩ = 1,
+//	g(t) = min Σⱼ λⱼ  s.t.  Σⱼ λⱼ·qⱼ = t,  λ ≥ 0,
 //
-// whose optimum lower-bounds the loss everywhere and matches it at the
-// true worst direction's owner; the maximum over t ∈ X is l(Q,P).
-// Unbounded LPs mean the coreset misses a whole direction cone (loss 1).
-// When the LP oracle fails (numerical instability), the conservative
-// worst case 1 is reported; use LossExactLPCtx to distinguish.
+// whose LP dual is max ⟨t,y⟩ s.t. ⟨q,y⟩ ≤ 1 ∀q ∈ Q. Owner t's loss
+// 1 − 1/g(t) is the largest 1 − ω(Q,u) over the directions u with
+// ⟨t,u⟩ = 1: it lower-bounds the loss everywhere and matches it at the
+// true worst direction's owner, so the maximum over t ∈ X is l(Q,P). An
+// infeasible gauge LP (t ∉ cone(Q)) means the coreset misses a whole
+// direction cone (loss 1). When the LP oracle fails (numerical
+// instability), the conservative worst case 1 is reported; use
+// LossExactLPCtx to distinguish.
 func (inst *Instance) LossExactLP(q []int) float64 {
 	l, err := inst.LossExactLPCtx(context.Background(), q)
 	if err != nil {
@@ -163,21 +169,32 @@ func (inst *Instance) LossExactLPCtx(ctx context.Context, q []int) (float64, err
 	return clampLoss(worst), nil
 }
 
+// gaugeChunk is the length of one warm chain of the gauge oracle: the
+// scan tour is cut into chunks of this many owners, and each chunk is
+// one unit of parallel work whose first solve is cold.
+const gaugeChunk = 32
+
 // ownerLPsCtx is the exact oracle's per-owner fan-out, shared by
-// LossExactLPCtx and SCMC's cut loop. vals[k] is the loss the LP of
-// extreme point k proves: its optimum, or 1 for an infeasible dual (an
+// LossExactLPCtx and SCMC's cut loop. vals[k] is the loss extreme point
+// k's gauge LP proves: 1 − 1/g(t), or 1 when the LP is infeasible (an
 // uncovered direction cone, also every owner's verdict when Q is empty);
-// owners in Q prove 0. Each owner writes only its own slots and owners
-// are independent, so the result is bitwise identical for every worker
-// count.
+// owners that coincide with a point of Q prove 0 without a solve.
+//
+// The LP matrix is Q for every owner and only the right-hand side t
+// changes, so each worker builds one Problem per call and solves its
+// owners on one warm-started lp.Solver (DESIGN.md §15.2). Owners run in
+// scan-tour order (scanOrder), so consecutive right-hand sides are
+// close, cut into fixed chunks of gaugeChunk owners. A chunk is one unit
+// of parallel work and starts cold, so no value depends on the worker
+// count; each owner writes only its own slots.
 //
 // Without cuts the fan-out stops as soon as some owner proves loss 1. With
 // cuts every owner is solved, and cuts[k] is a unit direction u with
 // loss(Q,u) ≥ vals[k] for each owner above eps, read off the LP already
-// solved: the first d simplex multipliers of an optimal dual (the primal's
-// maximizing u), or the first d entries of an infeasible dual's Farkas
-// ray, which satisfies ω(Q,u) < 0 < ω(P,u). cuts[k] stays nil when that
-// vector cannot be normalized.
+// solved: the simplex multipliers y of an optimal solve (the dual's
+// maximizer, ⟨q,y⟩ ≤ 1 for every q and ⟨t,y⟩ = g(t)), or an infeasible
+// solve's Farkas ray y (⟨q,y⟩ ≤ 0 for every q and ⟨t,y⟩ > 0). cuts[k]
+// stays nil when that vector cannot be normalized.
 func (inst *Instance) ownerLPsCtx(ctx context.Context, q []int, eps float64, cuts bool) ([]float64, []geom.Vector, error) {
 	if obs.On() {
 		mLossExactLP.Inc()
@@ -195,66 +212,59 @@ func (inst *Instance) ownerLPsCtx(ctx context.Context, q []int, eps float64, cut
 	}
 	d := inst.D
 	qpts := make([]geom.Vector, len(q))
+	inQ := make(map[string]bool, len(q))
+	var key []byte
 	for i, id := range q {
 		qpts[i] = inst.Pts[id]
+		key = geom.AppendKey(key[:0], qpts[i])
+		inQ[string(key)] = true
 	}
-	// Restrict to the hull of Q: interior points never realize ω(Q,u).
-	qh, err := hull.ExtremePoints(qpts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: loss evaluation: %w", err)
-	}
-	qx := make([]geom.Vector, len(qh))
-	for i, id := range qh {
-		qx[i] = qpts[id]
-	}
-
-	inQ := make(map[string]bool, len(qx))
-	for _, qp := range qx {
-		inQ[string(geom.AppendKey(nil, qp))] = true
-	}
+	tour := inst.scanOrder()
+	chunks := (len(tour) + gaugeChunk - 1) / gaugeChunk
+	workers := make([]gaugeWorker, parallel.WorkersFor(inst.Workers, chunks))
 	errs := make([]error, len(inst.ExtPts))
 	var lossOne atomic.Bool
-	// Per-worker scratch: the owner LPs differ in their coefficient
-	// matrix (the owner point is a column), so no warm-starting — but the
-	// pooled solver still reuses the tableau and extraction buffers
-	// across every owner the worker evaluates.
-	scratch := make([]lossScratch, parallel.WorkersFor(inst.Workers, len(inst.ExtPts)))
-	err = parallel.ForWorker(ctx, inst.Workers, len(inst.ExtPts), func(w, k int) {
-		if !cuts && lossOne.Load() {
-			return
+	err := parallel.ForWorker(ctx, inst.Workers, chunks, func(w, c int) {
+		g := &workers[w]
+		if g.prob == nil {
+			g.prob = gaugeProblem(qpts, d)
+			g.solver = lp.Solver{SkipFarkas: !cuts, ValueOnly: true, NoWarm: inst.DisableLPWarmStart}
 		}
-		t := inst.ExtPts[k]
-		// Owners that are themselves in Q contribute nothing: the
-		// constraint ⟨t,u⟩ ≤ 1−x with ⟨t,u⟩ = 1 forces x ≤ 0.
-		if inQ[string(geom.AppendKey(nil, t))] {
-			return
-		}
-		scr := &scratch[w]
-		sol, lerr := scr.lossLPForOwner(t, qx, d, cuts)
-		if lerr != nil {
-			errs[k] = lerr
-			return
-		}
-		if sol.Status == lp.Infeasible || sol.Value >= 1 {
-			vals[k] = 1
-			lossOne.Store(true)
-		} else {
-			vals[k] = sol.Value
-		}
-		if !cuts || vals[k] <= eps {
-			return
-		}
-		var u []float64
-		if sol.Status == lp.Infeasible {
-			u = sol.Farkas
-		} else {
-			scr.pi = scr.solver.Multipliers(scr.pi)
-			u = scr.pi
-		}
-		if len(u) > d {
-			v := geom.Vector(u[:d])
-			if n := v.Norm(); n > 0 && n <= math.MaxFloat64 {
-				dirs[k] = v.Scale(1 / n)
+		g.solver.Reset() // a cold chain start keeps values independent of scheduling
+		for _, k := range tour[c*gaugeChunk : min((c+1)*gaugeChunk, len(tour))] {
+			if !cuts && lossOne.Load() {
+				return
+			}
+			t := inst.ExtPts[k]
+			// An owner in Q is represented exactly: g(t) = 1, loss 0.
+			g.key = geom.AppendKey(g.key[:0], t)
+			if inQ[string(g.key)] {
+				continue
+			}
+			sol, lerr := g.solve(t)
+			if lerr != nil {
+				errs[k] = lerr
+				continue
+			}
+			if sol.Status == lp.Infeasible {
+				vals[k] = 1
+				lossOne.Store(true)
+			} else {
+				vals[k] = 1 - 1/sol.Value
+			}
+			if !cuts || vals[k] <= eps {
+				continue
+			}
+			u := sol.Farkas
+			if sol.Status == lp.Optimal {
+				g.pi = g.solver.Multipliers(g.pi)
+				u = g.pi
+			}
+			if len(u) == d {
+				v := geom.Vector(u)
+				if n := v.Norm(); n > 0 && n <= math.MaxFloat64 {
+					dirs[k] = v.Scale(1 / n)
+				}
 			}
 		}
 	})
@@ -269,77 +279,63 @@ func (inst *Instance) ownerLPsCtx(ctx context.Context, q []int, eps float64, cut
 	return vals, dirs, nil
 }
 
-// lossScratch is the per-worker arena for the owner LPs: a pooled solver
-// plus the objective/row coefficient buffers (the Problem clones what it
-// keeps, so the buffers never alias solver state) and the multiplier
-// buffer cuts are read into.
-type lossScratch struct {
+// gaugeWorker is one worker's arena for the gauge oracle: its solver,
+// the gauge Problem over Q it warm-starts on (built on the worker's
+// first chunk), and the multiplier and coordinate-key buffers.
+type gaugeWorker struct {
 	solver lp.Solver
-	obj    []float64
-	row    []float64
+	prob   *lp.Problem
 	pi     []float64
+	key    []byte
 }
 
-// lossLPForOwner solves the per-owner loss LP and returns its solution,
-// Optimal or Infeasible (an unbounded primal: loss 1); any other outcome
-// is a solver failure (iteration limit, malformed tableau, or an
-// impossible status) returned as an error, whose value must not be
-// trusted. farkas asks for the infeasibility ray the cut loop reads.
-//
-// The primal — max x s.t. ⟨q,u⟩ + x ≤ 1 ∀q, ⟨t,u⟩ = 1 over free (u,x) —
-// has |Q|+1 rows and d+1 variables; a tableau simplex pays per-row for
-// the basis, so we solve the LP dual instead, which has only d+1 rows:
-//
-//	min Σ_q y_q + z   s.t.  Σ_q y_q·q + z·t = 0,  Σ_q y_q = 1,
-//	                        y ≥ 0, z free.
-//
-// By strong duality the optimum equals the primal maximum, and the
-// dual's simplex multipliers on its d+1 rows are the primal optimum
-// (u, x); an infeasible dual means an unbounded primal (the coreset
-// leaves a whole direction cone uncovered).
-func (scr *lossScratch) lossLPForOwner(t geom.Vector, qx []geom.Vector, d int, farkas bool) (lp.Solution, error) {
+// gaugeProblem builds the gauge LP of conv(Q): one column λⱼ ≥ 0 per
+// point of Q, the objective min Σλⱼ, and d equality rows Σλⱼqⱼ = t whose
+// right-hand sides each solve retargets. Interior points of Q are
+// harmless columns: they never lower the minimum.
+func gaugeProblem(qpts []geom.Vector, d int) *lp.Problem {
+	nq := len(qpts)
+	prob := lp.NewProblem(nq)
+	row := make([]float64, nq)
+	for j := range row {
+		prob.SetNonNegative(j)
+		row[j] = 1
+	}
+	prob.SetObjective(row, false)
+	for i := 0; i < d; i++ {
+		for j, qp := range qpts {
+			row[j] = qp[i]
+		}
+		prob.AddEQ(row, 0)
+	}
+	return prob
+}
+
+// solve runs owner t's gauge LP on the worker's problem and returns its
+// solution: Optimal with g(t) > 0, or Infeasible (t ∉ cone(Q): loss 1).
+// Any other outcome is a solver failure returned as an error, whose
+// value must not be trusted.
+func (g *gaugeWorker) solve(t geom.Vector) (lp.Solution, error) {
 	if faultinject.Fail(faultinject.SiteLossLP) {
 		return lp.Solution{}, fmt.Errorf("core: loss-LP failpoint: %w", ErrNumericalInstability)
 	}
-	scr.solver.SkipFarkas = !farkas
-	scr.solver.ValueOnly = true
-	nq := len(qx)
-	prob := lp.NewProblem(nq + 1) // vars: y_q ≥ 0, z free
-	for j := 0; j < nq; j++ {
-		prob.SetNonNegative(j)
+	for i, v := range t {
+		g.prob.SetConstraintRHS(i, v)
 	}
-	if cap(scr.obj) < nq+1 {
-		scr.obj = make([]float64, nq+1)
-	}
-	obj := scr.obj[:nq+1]
-	for j := range obj {
-		obj[j] = 1
-	}
-	prob.SetObjective(obj, false)
-	if cap(scr.row) < nq+1 {
-		scr.row = make([]float64, nq+1)
-	}
-	row := scr.row[:nq+1]
-	for i := 0; i < d; i++ {
-		for j, qp := range qx {
-			row[j] = qp[i]
-		}
-		row[nq] = t[i]
-		prob.AddEQ(row, 0)
-	}
-	for j := 0; j < nq; j++ {
-		row[j] = 1
-	}
-	row[nq] = 0
-	prob.AddEQ(row, 1)
-	sol := scr.solver.Solve(prob)
+	sol := g.solver.Solve(g.prob)
 	switch sol.Status {
-	case lp.Optimal, lp.Infeasible:
+	case lp.Infeasible:
+		return sol, nil
+	case lp.Optimal:
+		if !(sol.Value > 0) {
+			// g(t) = Σλ is 0 only at t = 0, impossible on a fat
+			// instance: a misread 1 − 1/g must never turn into a loss.
+			return sol, fmt.Errorf("core: gauge LP optimum %g: %w", sol.Value, ErrNumericalInstability)
+		}
 		return sol, nil
 	case lp.Unbounded:
-		// Dual unbounded would mean a primal with no feasible u, i.e.
-		// t = 0, impossible on a fat instance: a misread, not a loss.
-		return sol, fmt.Errorf("core: loss LP dual unbounded: %w", ErrInfeasible)
+		// Σλ over λ ≥ 0 is bounded below by 0: a misread, not a loss.
+		return sol, fmt.Errorf("core: gauge LP unbounded: %w", ErrInfeasible)
 	default:
 		return sol, lpFailure(sol.Status)
 	}

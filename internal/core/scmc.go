@@ -57,11 +57,11 @@ func (inst *Instance) SCMC(eps float64, opts SCMCOptions) ([]int, int, error) {
 
 // SCMCCtx is SCMC with cooperative cancellation: the context is checked
 // between cut rounds and propagated into the parallel range queries and
-// owner LPs.
+// the oracle's gauge LPs.
 //
 // The universe starts as 32·(d+1) uniform directions drawn from
-// opts.Seed. Each round covers it greedily at γ and runs the exact
-// owner-LP oracle (LossExactLP's per-owner LPs) on the cover; every owner
+// opts.Seed. Each round covers it greedily at γ and runs the exact loss
+// oracle (LossExactLP's per-owner gauge LPs) on the cover; every owner
 // whose loss exceeds ε contributes one cut — the direction its LP proves
 // the loss in — and the next round covers the grown universe. Every later
 // cover represents a cut u to within γ, below ε at the default γ = ε/2,

@@ -80,8 +80,13 @@ func TestSCMCGoldenSizes(t *testing.T) {
 	}
 }
 
-// An owner LP whose dual is infeasible yields a Farkas ray u with
-// ω(Q,u) < 0 < ω(P,u): a direction Q leaves entirely unrepresented.
+// An owner whose gauge LP is infeasible (t ∉ cone(Q)) yields a Farkas
+// ray u with ⟨t,u⟩ > 0 < ω(P,u) and ⟨q,u⟩ ≤ 0 for every q ∈ Q: a
+// direction Q leaves unrepresented. The ray is orthogonal to every
+// column basic at the end of phase 1, so in exact arithmetic
+// ω(Q,u) = 0; after rounding it may read a few ulps above, hence the
+// 1e-12 slack. That is loss(Q,u) = 1 to rounding, the owner's value the
+// cut must meet.
 func TestOwnerLPFarkasCuts(t *testing.T) {
 	inst := fatRandom(t, 400, 4, 61)
 	// Q on one side of a hyperplane through the origin, so the owners on
@@ -92,10 +97,10 @@ func TestOwnerLPFarkasCuts(t *testing.T) {
 			qx = append(qx, p)
 		}
 	}
-	var scr lossScratch
+	g := gaugeWorker{prob: gaugeProblem(qx, inst.D)}
 	infeasible := 0
 	for _, owner := range inst.ExtPts {
-		sol, err := scr.lossLPForOwner(owner, qx, inst.D, true)
+		sol, err := g.solve(owner)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,13 +108,14 @@ func TestOwnerLPFarkasCuts(t *testing.T) {
 			continue
 		}
 		infeasible++
-		u := geom.Vector(sol.Farkas[:inst.D])
+		u := geom.Vector(sol.Farkas)
+		u = u.Scale(1 / u.Norm())
 		wq := geom.Dot(qx[0], u)
 		for _, q := range qx[1:] {
 			wq = max(wq, geom.Dot(q, u))
 		}
-		if wp := inst.Omega(u); !(wq < 0 && 0 < wp) {
-			t.Fatalf("Farkas ray %v: ω(Q,u) = %v, ω(P,u) = %v", u, wq, wp)
+		if tu, wp := geom.Dot(owner, u), inst.Omega(u); !(tu > 0 && wp > 0 && wq <= 1e-12) {
+			t.Fatalf("Farkas ray %v: ⟨t,u⟩ = %v, ω(P,u) = %v, ω(Q,u) = %v", u, tu, wp, wq)
 		}
 	}
 	if infeasible == 0 {
@@ -118,8 +124,10 @@ func TestOwnerLPFarkasCuts(t *testing.T) {
 }
 
 // A cut loop seeded with one direction starts from a one-point cover,
-// against which every other owner proves loss 1; the Farkas cuts alone
-// grow it to a certified coreset well below ξ.
+// against which every other owner proves loss 1: its Farkas cut u has
+// ⟨t,u⟩ > 0 < ω(P,u) and ω(Q,u) = 0 to rounding, as in
+// TestOwnerLPFarkasCuts. The Farkas cuts alone grow the cover to a
+// certified coreset well below ξ.
 func TestSCMCCutsFromOneDirection(t *testing.T) {
 	inst := fatRandom(t, 600, 4, 67)
 	eps := 0.1
@@ -143,8 +151,10 @@ func TestSCMCCutsFromOneDirection(t *testing.T) {
 		if v != 1 || cuts[k] == nil {
 			t.Fatalf("owner %d: loss %v, cut %v; want a loss-1 cut", k, v, cuts[k])
 		}
-		if wq := geom.Dot(inst.Pts[q1[0]], cuts[k]); wq >= 0 {
-			t.Fatalf("owner %d: cut %v does not miss Q (ω(Q,u) = %v)", k, cuts[k], wq)
+		u := cuts[k]
+		tu, wp, wq := geom.Dot(inst.ExtPts[k], u), inst.Omega(u), geom.Dot(inst.Pts[q1[0]], u)
+		if !(tu > 0 && wp > 0 && wq <= 1e-12) {
+			t.Fatalf("owner %d: cut %v does not miss Q (⟨t,u⟩ = %v, ω(P,u) = %v, ω(Q,u) = %v)", k, u, tu, wp, wq)
 		}
 	}
 	q, total, err := inst.scmcCuts(context.Background(), eps, eps/2, seed, scmcRounds)

@@ -1,13 +1,15 @@
 // Package lp implements a dense two-phase primal simplex solver for the
 // small linear programs that arise in mincore: the dominance-graph edge
-// weights of Eq. 2 in the paper, the exact maximum-loss computation of
-// Nanongkai et al. used in the NP-hardness reduction, and the vertex tests
-// of Clarkson's output-sensitive extreme-point algorithm.
+// weights of Eq. 2 in the paper, the gauge LPs of the exact loss oracle,
+// the exact maximum-loss computation of Nanongkai et al. used in the
+// NP-hardness reduction, and the vertex tests of Clarkson's
+// output-sensitive extreme-point algorithm.
 //
-// All of these LPs have O(d) variables (d ≤ 10 in every experiment) and at
-// most a few thousand constraints, so a dense tableau solver is exact
-// (within floating-point tolerance) and fast; it replaces the GLPK solver
-// used by the paper's C++ implementation.
+// All of these LPs have O(d) variables or O(d) rows (d ≤ 10 in every
+// experiment) and at most a few thousand constraints or columns, so a
+// dense tableau solver is exact (within floating-point tolerance) and
+// fast; it replaces the GLPK solver used by the paper's C++
+// implementation.
 //
 // Variables are free (unbounded in sign) by default, matching the LPs in
 // the paper where the direction vector u ranges over R^d; callers may mark

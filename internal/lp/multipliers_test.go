@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// ownerDual builds the loss oracle's per-owner LP as the core package
-// solves it — min Σ_q y_q + z s.t. Σ_q y_q·q + z·t = 0, Σ_q y_q = 1,
-// y ≥ 0, z free — whose d+1 multipliers are the primal optimum (u, x) of
-// max x s.t. ⟨q,u⟩ + x ≤ 1 ∀q, ⟨t,u⟩ = 1.
+// ownerDual builds the per-owner loss LP the core package's exact
+// oracle solved before it moved to the gauge LP — min Σ_q y_q + z s.t.
+// Σ_q y_q·q + z·t = 0, Σ_q y_q = 1, y ≥ 0, z free — whose d+1
+// multipliers are the primal optimum (u, x) of max x s.t.
+// ⟨q,u⟩ + x ≤ 1 ∀q, ⟨t,u⟩ = 1: an equality-form LP with a free column,
+// the shape the multiplier readout must handle.
 func ownerDual(qs [][]float64, t []float64) *Problem {
 	d, nq := len(t), len(qs)
 	p := NewProblem(nq + 1)

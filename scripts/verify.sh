@@ -122,22 +122,25 @@ GOMAXPROCS=4 go test -race -count=1 \
 
 # Raw speed: the warm-start determinism contract under the race
 # detector — the pooled, warm-started dominance-graph build must
-# reproduce the cold results bit for bit across worker counts — and
-# SCMC's cut loop: multiplier and Farkas cut readouts, the pinned sizes,
-# the round bound, cancellation mid-loop, and bitwise determinism at
-# ε = 0.02; then the allocation-regression gates, run plain because race
-# instrumentation inflates alloc counts (the gate files are excluded via
-# //go:build !race); then, also plain, the pinned public build outputs
-# (every index sequence, loss bit and repair trail of the pinned
-# requests) and the Clarkson scan's pinned extreme-point sequences (the
-# interior screen must leave every index and its order unchanged) with
-# the brute-force reference and the screen's yield stop: the scan is
-# sequential, and the race detector makes its 20k-point inputs ~15x
-# slower.
-echo "== raw speed (warm-start determinism, SCMC cuts, alloc gates, build and hull pins)"
+# reproduce the cold results bit for bit across worker counts — the
+# gauge loss oracle against the per-owner dual LP it replaced (every
+# owner's loss within 1e-12, loss 1 exactly where the reference reads
+# ≥ 1, bitwise identical across worker counts and warm-start on/off),
+# and SCMC's cut loop: multiplier and Farkas cut readouts, the pinned
+# sizes, the round bound, cancellation mid-loop, and bitwise determinism
+# at ε = 0.02; then the allocation-regression gates of the DG build and
+# the loss oracle, run plain because race instrumentation inflates alloc
+# counts (the gate files are excluded via //go:build !race); then, also
+# plain, the pinned public build outputs (every index sequence, loss bit
+# and repair trail of the pinned requests) and the Clarkson scan's
+# pinned extreme-point sequences (the interior screen must leave every
+# index and its order unchanged) with the brute-force reference and the
+# screen's yield stop: the scan is sequential, and the race detector
+# makes its 20k-point inputs ~15x slower.
+echo "== raw speed (warm-start determinism, gauge oracle reference, SCMC cuts, alloc gates, build and hull pins)"
 GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestWarmStartWorkerMatrix|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
-go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs' ./internal/lp/ ./internal/core/
+    -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestWarmStartWorkerMatrix|TestGaugeOracleMatchesReference|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
+go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestLossOracleAllocs' ./internal/lp/ ./internal/core/
 go test -count=1 -run 'TestBuildOutputsPinned' .
 go test -count=1 -run 'TestExtremePointsPinned|TestExtremePointsMatchBrute|TestScreenYield' ./internal/hull/
 
