@@ -132,12 +132,15 @@ bench-speed:
 # race detector, then the allocation-regression gates of the DG build
 # and the loss oracle (plain — race instrumentation inflates alloc
 # counts, and the gate files are built with //go:build !race), then the
-# pinned public build outputs and the Clarkson scan's pinned
-# extreme-point sequences, brute-force reference and screen yield stop
-# (plain — the scan is sequential).
+# pinned public build outputs (both exact oracles on every 2D row) and
+# the Clarkson scan's pinned extreme-point sequences, brute-force
+# reference and screen yield stop (plain — the scan is sequential), then
+# OptMC against Algorithm 1's overlap-graph reference and its pinned
+# size table (plain).
 speed:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestWarmStartWorkerMatrix|TestGaugeOracleMatchesReference|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
 	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestLossOracleAllocs' ./internal/lp/ ./internal/core/
 	$(GO) test -count=1 -run 'TestBuildOutputsPinned' .
 	$(GO) test -count=1 -run 'TestExtremePointsPinned|TestExtremePointsMatchBrute|TestScreenYield' ./internal/hull/
+	$(GO) test -count=1 -run 'TestOptMCMatchesAlgorithm1|TestOptMCSizesPinned' ./internal/core/

@@ -80,13 +80,29 @@ func benchInstance(b *testing.B, n, d int) *core.Instance {
 	return inst
 }
 
+// BenchmarkOptMC times OptMC, candidate selection included, at two
+// candidate counts: about 20 on NORMAL and about 36k on UNIFORM.
 func BenchmarkOptMC(b *testing.B) {
-	inst := benchInstance(b, 20000, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := inst.OptMC(0.05); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		ds   data.Dataset
+		eps  float64
+	}{
+		{"normal-n20k-eps0.05", data.Normal(20000, 2, 7), 0.05},
+		{"uniform-n100k-eps0.20", data.Uniform(100000, 2, 7), 0.20},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			inst, err := core.NewInstance(bc.ds.Points)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := inst.OptMC(bc.eps); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,8 +1,9 @@
 // Walkthrough: reconstructs the paper's running example (Figures 1–3)
 // programmatically on a small 2D point set — the inner-product Voronoi
-// diagram of the extreme points, OptMC's candidate set and overlap graph
-// with the shortest cycle (Figure 2), and DSMC's dominance graph with its
-// LP edge weights and the greedy dominating set (Figure 3).
+// diagram of the extreme points, OptMC's optimal coreset as the minimum
+// cover of the circle by the candidates' cell arcs (Figure 2), and DSMC's
+// dominance graph with its LP edge weights and the greedy dominating set
+// (Figure 3).
 //
 //	go run ./examples/walkthrough
 package main
@@ -50,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nFigure 2 — OptMC with ε = %g\n", eps)
-	fmt.Printf("optimal coreset (shortest cycle): %d points, exact loss %.4f\n",
+	fmt.Printf("optimal coreset (minimum arc cover): %d points, exact loss %.4f\n",
 		len(q), inst.LossExact2D(q))
 	for _, id := range q {
 		fmt.Printf("  s%-3d (%6.2f,%6.2f)  θ=%6.1f°\n",

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -15,11 +14,11 @@ import (
 // problem, solvable optimally by the classical greedy
 // (farthest-reaching extension from every possible starting arc).
 //
-// Algorithm 1's graph construction avoids computing the arcs explicitly
-// but pays O(ς²ξ) edges plus a shortest-cycle search; for large
-// candidate counts (big ε) the explicit O(ς log ς + ς·OPT·log ς)
-// arc-cover is far faster. OptMC dispatches on the candidate count; both
-// paths are provably optimal and are cross-checked in the tests.
+// OptMC is this cover over the candidates' cells. Each cell is computed
+// in closed form by a walk over the Voronoi arcs it spans; the cover then
+// costs O(ς log ς + ς·OPT·log ς). Algorithm 1's overlap graph, which
+// never computes the arcs but pays O(ς²ξ) edges plus a shortest-cycle
+// search, is the test reference OptMC is checked against.
 
 // arc is a candidate's ε-approximate cell [start, end] (CCW, may wrap),
 // with end ∈ [start, start+π).
@@ -28,82 +27,39 @@ type arc struct {
 	id         int // index into inst.Pts
 }
 
-// OptMCArc solves MC in R² via minimum circular arc cover. It computes
-// each candidate's exact cell arc by bisection against the upper
-// envelope ω(X,·) and runs the optimal greedy cover.
-func (inst *Instance) OptMCArc(eps float64) ([]int, error) {
-	if inst.D != 2 {
-		return nil, fmt.Errorf("core: OptMCArc requires a 2D instance (d=%d)", inst.D)
+// cellArc returns the cell R_ε(p) of point id as an arc, given the index
+// k of a boundary vector u*_k inside it. On t_i's Voronoi arc
+// [u*_{i−1}, u*_i] the envelope ω(X,u) is ⟨t_i,u⟩, so there the cell is
+// the half-circle ⟨p−(1−ε)t_i, u⟩ ≥ 0, which ends at the polar angle of
+// p−(1−ε)t_i ± π/2. The walk steps over whole Voronoi arcs while the
+// candidate test passes at the next boundary vector — the cell is one
+// arc shorter than π, so it holds every Voronoi arc between two passing
+// boundary vectors — and solves the crossing on the first arc where the
+// test fails.
+func (inst *Instance) cellArc(id, k int, eps float64) arc {
+	p, bv, ext := inst.Pts[id], inst.BoundaryVecs, inst.ExtPts
+	xi := len(bv)
+	in := func(i int) bool { return geom.Dot(p, bv[i]) >= (1-eps)*geom.Dot(ext[i], bv[i]) }
+	edge := func(i int) float64 { // polar angle of p − (1−ε)t_i
+		return math.Atan2(p[1]-(1-eps)*ext[i][1], p[0]-(1-eps)*ext[i][0])
 	}
-	if eps <= 0 || eps >= 1 {
-		return nil, fmt.Errorf("core: OptMCArc requires ε ∈ (0,1), got %g", eps)
+	hi, lo := k, k
+	for s := 1; s < xi && in((hi+1)%xi); s++ {
+		hi = (hi + 1) % xi
 	}
-	cand := inst.optMCCandidates(eps)
-	arcs := make([]arc, 0, len(cand))
-	for _, id := range cand {
-		if a, ok := inst.cellArc(id, eps); ok {
-			arcs = append(arcs, arc{start: a[0], end: a[1], id: id})
-		}
+	for s := 1; s < xi && in((lo+xi-1)%xi); s++ {
+		lo = (lo + xi - 1) % xi
 	}
-	sol := minCircularArcCover(arcs)
-	if sol == nil {
-		return nil, fmt.Errorf("core: no feasible ε-coreset (ε=%g too small for tolerance?)", eps)
+	// The cell leaves through t_{hi+1}'s arc going CCW and through t_lo's
+	// going CW. Both endpoints are measured from u*_k, which lies inside,
+	// as angles in [0, π) (clamped: rounding may put u*_k a hair outside).
+	seed := geom.Theta(bv[k])
+	ccw := func(from, to float64) float64 { return math.Max(0, math.Remainder(to-from, 2*math.Pi)) }
+	return arc{
+		start: seed - ccw(edge(lo)-math.Pi/2, seed),
+		end:   seed + ccw(seed, edge((hi+1)%xi)+math.Pi/2),
+		id:    id,
 	}
-	return sol, nil
-}
-
-// cellArc returns the arc [start, end] (end ≥ start, end−start < π) of
-// R_ε(p) for point id, or ok=false if the cell is empty at tolerance.
-// The seed angle is a boundary vector where the candidate test passes;
-// the endpoints are located by bisection, valid because the cell is a
-// single arc.
-func (inst *Instance) cellArc(id int, eps float64) ([2]float64, bool) {
-	p := inst.Pts[id]
-	f := func(theta float64) float64 {
-		u := geom.UnitFromTheta(theta)
-		return geom.Dot(p, u) - (1-eps)*inst.Omega(u)
-	}
-	// Seed: a boundary vector with f ≥ 0 (must exist for candidates), or
-	// the point's own angle if it happens to be inside its cell.
-	seed := math.NaN()
-	thetaP := geom.Theta(p)
-	if f(thetaP) >= 0 {
-		seed = thetaP
-	} else {
-		for _, u := range inst.BoundaryVecs {
-			th := geom.Theta(u)
-			if f(th) >= 0 {
-				seed = th
-				break
-			}
-		}
-	}
-	if math.IsNaN(seed) {
-		return [2]float64{}, false
-	}
-	// The cell lies within (θp − π/2, θp + π/2); beyond that ⟨p,u⟩ ≤ 0 <
-	// (1−ε)·ω. Bisect for each endpoint between the seed (inside) and a
-	// definitely-outside angle.
-	lo := bisectBoundary(f, seed, seed-math.Pi/2-1e-6, 60)
-	hi := bisectBoundary(f, seed, seed+math.Pi/2+1e-6, 60)
-	return [2]float64{lo, hi}, true
-}
-
-// bisectBoundary finds the zero crossing of f between inside (f ≥ 0) and
-// outside (f < 0), returning the angle of the last inside point.
-func bisectBoundary(f func(float64) float64, inside, outside float64, iters int) float64 {
-	if f(outside) >= 0 {
-		return outside // numerical safety: treat as boundary
-	}
-	for i := 0; i < iters; i++ {
-		mid := (inside + outside) / 2
-		if f(mid) >= 0 {
-			inside = mid
-		} else {
-			outside = mid
-		}
-	}
-	return inside
 }
 
 // minCircularArcCover returns the point ids of a minimum subset of arcs

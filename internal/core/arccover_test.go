@@ -8,63 +8,45 @@ import (
 	"mincore/internal/geom"
 )
 
-func TestArcCoverMatchesGraphOptMC(t *testing.T) {
-	// The two formulations are both optimal: sizes must agree, and both
-	// solutions must be valid, across instances and ε values.
-	for trial := 0; trial < 10; trial++ {
-		inst := fatRandom2D(t, 150+40*trial, int64(200+trial))
-		for _, eps := range []float64{0.02, 0.08, 0.2, 0.4} {
-			cand := inst.optMCCandidates(eps)
-			g, ids := inst.optMCGraph(cand, eps)
-			cyc := g.ShortestCycle()
-			arcSol, err := inst.OptMCArc(eps)
-			if cyc == nil {
-				if err == nil {
-					t.Fatalf("trial %d ε=%v: graph infeasible but arc cover found %d", trial, eps, len(arcSol))
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("trial %d ε=%v: graph found %d but arc cover failed: %v", trial, eps, len(cyc), err)
-			}
-			graphSol := make([]int, len(cyc))
-			for i, v := range cyc {
-				graphSol[i] = ids[v]
-			}
-			if la := inst.LossExact2D(arcSol); la > eps+1e-9 {
-				t.Fatalf("trial %d ε=%v: arc solution invalid (loss %v)", trial, eps, la)
-			}
-			if lg := inst.LossExact2D(graphSol); lg > eps+1e-9 {
-				t.Fatalf("trial %d ε=%v: graph solution invalid (loss %v)", trial, eps, lg)
-			}
-			if len(arcSol) != len(graphSol) {
-				t.Fatalf("trial %d ε=%v: arc cover %d vs graph %d", trial, eps, len(arcSol), len(graphSol))
-			}
-		}
-	}
-}
-
 func TestCellArcMatchesSweep(t *testing.T) {
-	// The bisected arc endpoints must agree with a dense membership sweep.
-	inst := fatRandom2D(t, 200, 301)
-	eps := 0.15
-	cand := inst.optMCCandidates(eps)
-	for _, id := range cand[:min(len(cand), 30)] {
-		a, ok := inst.cellArc(id, eps)
-		if !ok {
-			t.Fatalf("candidate %d has no arc", id)
-		}
-		p := inst.Pts[id]
-		for k := 0; k < 720; k++ {
-			th := 2 * math.Pi * float64(k) / 720
-			u := geom.UnitFromTheta(th)
-			inCell := geom.Dot(p, u) >= (1-eps)*inst.Omega(u)
-			inArc := geom.InCCWArc(th, geom.NormalizeAngle(a[0]), geom.NormalizeAngle(a[1]))
-			// Allow disagreement only within a hair of the endpoints.
-			nearEndpoint := angDistTo(th, a[0]) < 0.02 || angDistTo(th, a[1]) < 0.02
-			if inCell != inArc && !nearEndpoint {
-				t.Fatalf("candidate %d: membership mismatch at θ=%v (cell=%v arc=%v, arc=[%v,%v])",
-					id, th, inCell, inArc, a[0], a[1])
+	// The closed-form contract: at both endpoints of every candidate's
+	// arc the cell test is tight, |⟨p,u⟩ − (1−ε)ω(P,u)| ≤ 1e-12, and a
+	// membership sweep (720 directions plus probes 1e-6 rad either side
+	// of each endpoint) disagrees with the arc nowhere farther than
+	// 1e-9 rad from an endpoint.
+	const resTol, angTol, probe = 1e-12, 1e-9, 1e-6
+	for _, cloud := range []string{"normal", "uniform"} {
+		for _, n := range []int{1000, 10000} {
+			inst := dataCloud2D(t, cloud, n)
+			for _, eps := range []float64{0.001, 0.02, 0.1, 0.2, 0.4} {
+				cand, seeds := inst.optMCCandidates(eps)
+				stride := max(1, len(cand)/25)
+				for j, id := range cand {
+					a := inst.cellArc(id, seeds[j], eps)
+					p := inst.Pts[id]
+					for _, th := range []float64{a.start, a.end} {
+						u := geom.UnitFromTheta(th)
+						if r := math.Abs(geom.Dot(p, u) - (1-eps)*inst.Omega(u)); r > resTol {
+							t.Fatalf("%s-n%d ε=%v candidate %d: residual %g at endpoint θ=%v", cloud, n, eps, id, r, th)
+						}
+					}
+					if j%stride != 0 {
+						continue
+					}
+					probes := []float64{a.start - probe, a.start + probe, a.end - probe, a.end + probe}
+					for k := 0; k < 720; k++ {
+						probes = append(probes, 2*math.Pi*float64(k)/720)
+					}
+					for _, th := range probes {
+						u := geom.UnitFromTheta(th)
+						inCell := geom.Dot(p, u) >= (1-eps)*inst.Omega(u)
+						inArc := geom.InCCWArc(th, a.start, a.end)
+						if inCell != inArc && angDistTo(th, a.start) > angTol && angDistTo(th, a.end) > angTol {
+							t.Fatalf("%s-n%d ε=%v candidate %d: membership mismatch at θ=%v (cell=%v, arc=[%v,%v])",
+								cloud, n, eps, id, th, inCell, a.start, a.end)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -76,13 +58,6 @@ func angDistTo(a, b float64) float64 {
 		d = 2*math.Pi - d
 	}
 	return d
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestMinCircularArcCoverUnits(t *testing.T) {

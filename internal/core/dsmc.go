@@ -640,15 +640,6 @@ func (inst *Instance) DSMCRefinedCtx(ctx context.Context, dg *DominanceGraph, ep
 		for i, v := range sel {
 			q[i] = inst.X[v]
 		}
-		// Cheap sampled lower bound first; the exact evaluator only runs
-		// on candidates that survive it.
-		ml, err := inst.maxLossSampledCtx(ctx, q, 2048, 31+int64(k))
-		if err != nil {
-			return nil, err
-		}
-		if ml > eps {
-			continue
-		}
 		l, err := inst.LossCtx(ctx, q)
 		if err != nil {
 			return nil, err

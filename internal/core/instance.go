@@ -1,9 +1,10 @@
 // Package core implements the paper's contribution: algorithms for the
 // Minimum ε-Coreset (MC) problem for maxima representation.
 //
-//   - OptMC (Algorithm 1): the optimal polynomial-time algorithm in R²,
-//     via candidate selection, an overlap graph, and shortest directed
-//     cycle.
+//   - OptMC (Section 5): the optimal polynomial-time algorithm in R²,
+//     via Algorithm 1's candidate selection, each candidate's cell arc in
+//     closed form, and a minimum circular arc cover. Algorithm 1's
+//     overlap graph and shortest directed cycle are its test reference.
 //   - DSMC (Algorithms 2–3): the dominance-graph approximation in any
 //     fixed dimension, with LP edge weights (Eq. 2) and greedy dominating
 //     set.
@@ -22,7 +23,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"mincore/internal/geom"
@@ -169,14 +169,4 @@ func (inst *Instance) Omega(u geom.Vector) float64 {
 func (inst *Instance) ExtremeAt(u geom.Vector) int {
 	i, _ := inst.extTree.MaxDot(u)
 	return inst.X[i]
-}
-
-// sortedByAngle returns the given point indices sorted CCW by polar angle
-// (2D helper).
-func (inst *Instance) sortedByAngle(ids []int) []int {
-	out := append([]int(nil), ids...)
-	sort.Slice(out, func(a, b int) bool {
-		return geom.Theta(inst.Pts[out[a]]) < geom.Theta(inst.Pts[out[b]])
-	})
-	return out
 }

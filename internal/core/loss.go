@@ -391,26 +391,11 @@ func (inst *Instance) LossSampledCtx(ctx context.Context, q []int, dirs []geom.V
 // true loss that converges as the sample densifies (conservatively 1
 // when the evaluator fails).
 func (inst *Instance) MaxLossSampled(q []int, samples int, seed int64) float64 {
-	l, err := inst.maxLossSampledCtx(context.Background(), q, samples, seed)
-	if err != nil {
-		return 1
-	}
-	return l
-}
-
-func (inst *Instance) maxLossSampledCtx(ctx context.Context, q []int, samples int, seed int64) (float64, error) {
-	dirs := sphere.RandomDirections(samples, inst.D, seed)
-	losses, err := inst.LossSampledCtx(ctx, q, dirs)
-	if err != nil {
-		return 0, err
-	}
 	worst := 0.0
-	for _, l := range losses {
-		if l > worst {
-			worst = l
-		}
+	for _, l := range inst.LossSampled(q, sphere.RandomDirections(samples, inst.D, seed)) {
+		worst = math.Max(worst, l)
 	}
-	return worst, nil
+	return worst
 }
 
 // Loss picks the exact evaluator for the instance dimension: the critical

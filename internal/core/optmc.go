@@ -2,15 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"sort"
 
 	"mincore/internal/geom"
-	"mincore/internal/graph"
 )
-
-// optMCGraphLimit is the candidate count above which OptMC switches from
-// Algorithm 1's overlap graph to the arc-cover solver.
-const optMCGraphLimit = 600
 
 // MC1D solves MC in R¹, which the paper notes is trivial (Section 3):
 // the two extreme points — maximum and minimum value — are always an
@@ -29,19 +24,21 @@ func (inst *Instance) MC1D() ([]int, error) {
 	return []int{lo, hi}, nil
 }
 
-// OptMC is Algorithm 1 of the paper: the optimal polynomial-time
-// algorithm for MC in R². It proceeds in three steps:
+// OptMC is the optimal polynomial-time algorithm for MC in R² (Section 5
+// of the paper). Every ε-approximate Voronoi cell is a single arc of S¹,
+// so a minimum ε-coreset is a minimum circular arc cover by the cells of
+// the candidates. It proceeds in three steps:
 //
-//  1. Candidate selection — keep exactly the points with a non-empty
-//     ε-approximate Voronoi cell (Lemma 5.1): p survives iff its loss at
-//     some cell-boundary vector u*_i is at most ε.
-//  2. Graph construction — a directed edge (s_i → s_j) iff the
-//     ε-approximate cells of s_i and s_j overlap (Lemma 5.2), witnessed
-//     at a boundary vector in U* or at the equal-inner-product direction
-//     of the pair; edges only point counterclockwise across less than π
-//     (Line 9), so every directed cycle winds around the circle.
-//  3. Solution computation — the vertices of the shortest directed cycle
-//     form the optimal coreset (Lemma 5.3 and Theorem 5.4).
+//  1. Candidate selection (Algorithm 1, Lines 1–6) — keep exactly the
+//     points with a non-empty cell (Lemma 5.1): p survives iff its loss
+//     at some cell-boundary vector u*_i is at most ε.
+//  2. Cell arcs — each candidate's cell, with endpoints in closed form
+//     (cellArc).
+//  3. Cover — the optimal greedy circular arc cover
+//     (minCircularArcCover).
+//
+// Algorithm 1's overlap graph (Lines 7–12) and its shortest directed
+// cycle reach the same optimum; they are kept as the test reference.
 //
 // The returned indices refer to inst.Pts. OptMC requires a fat 2D
 // instance.
@@ -52,116 +49,57 @@ func (inst *Instance) OptMC(eps float64) ([]int, error) {
 	if eps <= 0 || eps >= 1 {
 		return nil, fmt.Errorf("core: OptMC requires ε ∈ (0,1), got %g", eps)
 	}
-	cand := inst.optMCCandidates(eps)
-	// Large candidate sets (big ε) make the overlap graph quadratic and
-	// the shortest-cycle search cubic; switch to the equivalent — and
-	// equally optimal — arc-cover formulation (see arccover.go). Both
-	// paths are cross-validated in the tests.
-	if len(cand) > optMCGraphLimit {
-		return inst.OptMCArc(eps)
+	cand, seeds := inst.optMCCandidates(eps)
+	arcs := make([]arc, len(cand))
+	for i, id := range cand {
+		arcs[i] = inst.cellArc(id, seeds[i], eps)
 	}
-	g, ids := inst.optMCGraph(cand, eps)
-	cyc := g.ShortestCycle()
-	if cyc == nil {
-		return nil, fmt.Errorf("core: no feasible ε-coreset cycle found (ε=%g too small for tolerance?)", eps)
+	sol := minCircularArcCover(arcs)
+	if sol == nil {
+		return nil, fmt.Errorf("core: no feasible ε-coreset (ε=%g too small for tolerance?)", eps)
 	}
-	out := make([]int, len(cyc))
-	for i, v := range cyc {
-		out[i] = ids[v]
-	}
-	return out, nil
+	return sol, nil
 }
 
 // optMCCandidates implements Lines 1–6: S = X ∪ {p : ∃u*_i with loss of p
-// at u*_i at most ε}, returned sorted CCW by angle.
+// at u*_i at most ε}, returned sorted CCW by angle. seeds[j] is the index
+// of a boundary vector where the test of cand[j] passes: the first such
+// u*_i, or u*_i itself for t_i ∈ X.
 //
 // The paper locates the relevant u*_i by binary search (O(log ξ) per
-// point); we evaluate all ξ boundary vectors per point, which is exact by
-// the same Lemma 5.1 argument and costs O(nξ) — negligible against graph
-// construction at the ξ values of every dataset in the paper.
-func (inst *Instance) optMCCandidates(eps float64) []int {
+// point); we evaluate the ξ boundary vectors per point until one passes,
+// which is exact by the same Lemma 5.1 argument and costs O(nξ).
+func (inst *Instance) optMCCandidates(eps float64) (cand, seeds []int) {
+	type candidate struct {
+		id, seed int
+		theta    float64
+	}
 	inX := make(map[int]bool, len(inst.X))
-	for _, id := range inst.X {
+	cs := make([]candidate, 0, len(inst.X))
+	for i, id := range inst.X {
 		inX[id] = true
+		cs = append(cs, candidate{id, i, geom.Theta(inst.Pts[id])})
 	}
 	// ω(P, u*_i) is ⟨t_i, u*_i⟩ by definition of the boundary vector.
 	omega := make([]float64, len(inst.BoundaryVecs))
 	for i, u := range inst.BoundaryVecs {
 		omega[i] = geom.Dot(inst.ExtPts[i], u)
 	}
-	var cand []int
-	cand = append(cand, inst.X...)
 	for id, p := range inst.Pts {
 		if inX[id] {
 			continue
 		}
 		for i, u := range inst.BoundaryVecs {
 			if geom.Dot(p, u) >= (1-eps)*omega[i] {
-				cand = append(cand, id)
+				cs = append(cs, candidate{id, i, geom.Theta(p)})
 				break
 			}
 		}
 	}
-	return inst.sortedByAngle(cand)
-}
-
-// optMCGraph implements Lines 7–12: vertices are the candidates in CCW
-// order; a directed edge (i → j) exists iff the CCW angle from s_i to s_j
-// is below π and the ε-approximate cells overlap, witnessed at some
-// u ∈ U* ∪ {u*_{ij}}.
-func (inst *Instance) optMCGraph(cand []int, eps float64) (*graph.Digraph, []int) {
-	n := len(cand)
-	g := graph.NewDigraph(n)
-	theta := make([]float64, n)
-	pts := make([]geom.Vector, n)
-	for i, id := range cand {
-		pts[i] = inst.Pts[id]
-		theta[i] = geom.Theta(pts[i])
+	sort.Slice(cs, func(a, b int) bool { return cs[a].theta < cs[b].theta })
+	cand, seeds = make([]int, len(cs)), make([]int, len(cs))
+	for j, c := range cs {
+		cand[j], seeds[j] = c.id, c.seed
 	}
-	// Precompute losses of every candidate at every boundary vector.
-	bv := inst.BoundaryVecs
-	omega := make([]float64, len(bv))
-	for k, u := range bv {
-		omega[k] = geom.Dot(inst.ExtPts[k], u)
-	}
-	lossAt := make([][]float64, n)
-	for i := range lossAt {
-		lossAt[i] = make([]float64, len(bv))
-		for k, u := range bv {
-			lossAt[i][k] = 1 - geom.Dot(pts[i], u)/omega[k]
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			// Line 9: only counterclockwise-forward edges under π.
-			if geom.CCWAngleDist(theta[i], theta[j]) >= math.Pi {
-				continue
-			}
-			if inst.cellsOverlap(pts[i], pts[j], lossAt[i], lossAt[j], eps) {
-				g.AddEdge(i, j)
-			}
-		}
-	}
-	return g, cand
-}
-
-// cellsOverlap checks Line 11: some vector in U* ∪ {u*} keeps the loss of
-// both points within ε, where u* is the equal-inner-product direction of
-// the pair.
-func (inst *Instance) cellsOverlap(pi, pj geom.Vector, lossI, lossJ []float64, eps float64) bool {
-	for k := range lossI {
-		if lossI[k] <= eps && lossJ[k] <= eps {
-			return true
-		}
-	}
-	if u, ok := geom.EqualInnerProductDirection(pi, pj); ok {
-		w := inst.Omega(u)
-		if w > 0 && 1-geom.Dot(pi, u)/w <= eps && 1-geom.Dot(pj, u)/w <= eps {
-			return true
-		}
-	}
-	return false
+	return cand, seeds
 }

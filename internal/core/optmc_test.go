@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"mincore/internal/data"
 	"mincore/internal/geom"
 	"mincore/internal/sphere"
 )
@@ -75,7 +77,7 @@ func TestOptMCAtLeastDPlusOne(t *testing.T) {
 // subset search over the candidate set (points with non-empty
 // ε-approximate cells — anything else never helps).
 func bruteMinCoreset(inst *Instance, eps float64) int {
-	cand := inst.optMCCandidates(eps)
+	cand, _ := inst.optMCCandidates(eps)
 	n := len(cand)
 	for size := 1; size <= n; size++ {
 		idx := make([]int, size)
@@ -162,7 +164,7 @@ func TestOptMCCandidatesExactlyNonEmptyCells(t *testing.T) {
 	// dense direction sweep.
 	inst := fatRandom2D(t, 150, 17)
 	eps := 0.15
-	cand := inst.optMCCandidates(eps)
+	cand, _ := inst.optMCCandidates(eps)
 	inCand := map[int]bool{}
 	for _, id := range cand {
 		inCand[id] = true
@@ -253,5 +255,70 @@ func TestLossFullSetIsZero(t *testing.T) {
 	}
 	if l := inst.LossExactLP(all); l > 1e-6 {
 		t.Fatalf("full set LP loss = %v want 0", l)
+	}
+}
+
+// optMCSizePins holds |Q| and the candidate count ς of OptMC on the
+// internal/data clouds (seed 1) at four ε values. They were written by
+// the build in which OptMC still switched to Algorithm 1's overlap graph
+// below 600 candidates, so they pin the optimum both solvers agreed on
+// across 11 to about 36k candidates, where Algorithm 1 is too slow to
+// run live.
+var optMCSizePins = map[string][2]int{
+	"normal-n10000/0.001":   {11, 11},
+	"normal-n10000/0.02":    {11, 16},
+	"normal-n10000/0.1":     {8, 46},
+	"normal-n10000/0.2":     {6, 151},
+	"normal-n100000/0.001":  {18, 19},
+	"normal-n100000/0.02":   {14, 29},
+	"normal-n100000/0.1":    {8, 121},
+	"normal-n100000/0.2":    {6, 490},
+	"uniform-n10000/0.001":  {15, 45},
+	"uniform-n10000/0.02":   {6, 418},
+	"uniform-n10000/0.1":    {4, 1843},
+	"uniform-n10000/0.2":    {4, 3567},
+	"uniform-n100000/0.001": {13, 222},
+	"uniform-n100000/0.02":  {4, 3945},
+	"uniform-n100000/0.1":   {4, 18830},
+	"uniform-n100000/0.2":   {4, 35861},
+}
+
+// dataCloud2D returns the instance of the internal/data "normal" or
+// "uniform" 2D cloud of n points, seed 1.
+func dataCloud2D(t testing.TB, cloud string, n int) *Instance {
+	t.Helper()
+	ds := data.Normal(n, 2, 1)
+	if cloud == "uniform" {
+		ds = data.Uniform(n, 2, 1)
+	}
+	inst, err := NewInstance(ds.Points)
+	if err != nil {
+		t.Fatalf("NewInstance: %v", err)
+	}
+	return inst
+}
+
+func TestOptMCSizesPinned(t *testing.T) {
+	for _, cloud := range []string{"normal", "uniform"} {
+		for _, n := range []int{10000, 100000} {
+			inst := dataCloud2D(t, cloud, n)
+			for _, eps := range []float64{0.001, 0.02, 0.1, 0.2} {
+				label := fmt.Sprintf("%s-n%d/%g", cloud, n, eps)
+				q, err := inst.OptMC(eps)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				cand, _ := inst.optMCCandidates(eps)
+				got := [2]int{len(q), len(cand)}
+				want, ok := optMCSizePins[label]
+				if !ok {
+					t.Errorf("no pin: %q: {%d, %d},", label, got[0], got[1])
+					continue
+				}
+				if got != want {
+					t.Errorf("%s: |Q|, ς = %v, want %v", label, got, want)
+				}
+			}
+		}
 	}
 }

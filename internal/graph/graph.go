@@ -1,5 +1,6 @@
-// Package graph provides the directed-graph algorithms used by OptMC
-// (shortest directed cycle, Section 5 of the paper) and assorted analyses:
+// Package graph provides the directed-graph algorithms of Algorithm 1's
+// reference in the core tests (shortest directed cycle, Section 5 of the
+// paper; OptMC itself is an arc cover) and assorted analyses:
 // Dijkstra single-source shortest paths, BFS, shortest directed cycle in
 // unweighted and weighted digraphs, and Tarjan's strongly connected
 // components.

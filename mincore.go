@@ -58,7 +58,9 @@ type Algorithm string
 const (
 	// Auto picks OptMC in 2D and the smaller of DSMC and SCMC otherwise.
 	Auto Algorithm = "auto"
-	// OptMC is the optimal 2D algorithm (Algorithm 1 of the paper).
+	// OptMC is the optimal 2D algorithm (Section 5 of the paper):
+	// Algorithm 1's candidates, then a minimum cover of the circle by
+	// their ε-approximate cells, each one arc in closed form.
 	OptMC Algorithm = "optmc"
 	// DSMC is the dominating-set approximation (Algorithms 2–3).
 	DSMC Algorithm = "dsmc"
@@ -581,10 +583,12 @@ func sameIndices(a, b []int) bool {
 // batch, sharing the ε-independent substrate across the ladder: the
 // dominance graph (DSMC) is built once up front and results land in the
 // build cache, so overlapping sweeps and later single builds reuse them.
-// SCMC keeps no substrate: its cut loop grows a per-ε direction set. Probes run in parallel on the Coreseter's
-// worker budget. Results are returned in epsList order and are bitwise
-// identical to individual CoresetCtx calls at the same ε. Per-ε failures
-// are joined into the returned error; successful entries remain filled.
+// OptMC and SCMC keep no substrate: OptMC computes its candidates' cell
+// arcs per ε, and SCMC's cut loop grows a per-ε direction set. Probes
+// run in parallel on the Coreseter's worker budget. Results are returned
+// in epsList order and are bitwise identical to individual CoresetCtx
+// calls at the same ε. Per-ε failures are joined into the returned
+// error; successful entries remain filled.
 func (c *Coreseter) CoresetSweep(ctx context.Context, epsList []float64, algo Algorithm) ([]*Coreset, error) {
 	if len(epsList) == 0 {
 		return nil, nil

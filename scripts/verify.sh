@@ -15,6 +15,16 @@ go build ./...
 echo "== go build -C perfbench ./..."
 go build -C perfbench ./...
 
+# OptMC has one production path, the arc cover. Algorithm 1's overlap
+# graph and shortest cycle are its test reference, so no library,
+# command or example build may link internal/graph.
+echo "== no build links internal/graph"
+deps=$(go list -deps . ./cmd/... ./examples/...)
+if grep -qx 'mincore/internal/graph' <<<"$deps"; then
+    echo "mincore/internal/graph is linked into a build"
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -132,16 +142,20 @@ GOMAXPROCS=4 go test -race -count=1 \
 # the loss oracle, run plain because race instrumentation inflates alloc
 # counts (the gate files are excluded via //go:build !race); then, also
 # plain, the pinned public build outputs (every index sequence, loss bit
-# and repair trail of the pinned requests) and the Clarkson scan's
-# pinned extreme-point sequences (the interior screen must leave every
-# index and its order unchanged) with the brute-force reference and the
-# screen's yield stop: the scan is sequential, and the race detector
-# makes its 20k-point inputs ~15x slower.
-echo "== raw speed (warm-start determinism, gauge oracle reference, SCMC cuts, alloc gates, build and hull pins)"
+# and repair trail of the pinned requests, and both exact oracles on
+# every 2D row) and the Clarkson scan's pinned extreme-point sequences
+# (the interior screen must leave every index and its order unchanged)
+# with the brute-force reference and the screen's yield stop: the scan
+# is sequential, and the race detector makes its 20k-point inputs ~15x
+# slower. Last, plain as well, OptMC against Algorithm 1's overlap-graph
+# reference (one input above 600 candidates) and its pinned size table
+# on clouds of up to 100k points.
+echo "== raw speed (warm-start determinism, gauge oracle reference, SCMC cuts, alloc gates, build and hull pins, OptMC reference and sizes)"
 GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestWarmStartWorkerMatrix|TestGaugeOracleMatchesReference|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
 go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestLossOracleAllocs' ./internal/lp/ ./internal/core/
 go test -count=1 -run 'TestBuildOutputsPinned' .
 go test -count=1 -run 'TestExtremePointsPinned|TestExtremePointsMatchBrute|TestScreenYield' ./internal/hull/
+go test -count=1 -run 'TestOptMCMatchesAlgorithm1|TestOptMCSizesPinned' ./internal/core/
 
 echo "verify: OK"
