@@ -24,13 +24,14 @@ verify:
 	./scripts/verify.sh
 
 # Deterministic fault-injection matrix: every repair/fallback edge under
-# the race detector, across seeds 1..5.
+# the race detector, across seeds 1..5 (the same tests as verify.sh's
+# fault leg).
 faults:
 	$(GO) test -race -count=1 ./internal/faultinject/
 	@for seed in 1 2 3 4 5; do \
 		echo "-- MINCORE_FAULT_SEED=$$seed"; \
 		MINCORE_FAULT_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'TestFault' . || exit 1; \
+			-run 'TestFault|TestExtremeEpsilons|TestFixedSizeExtreme' . || exit 1; \
 	done
 
 # Seeded kill/restore chaos matrix: crash the ingest service mid-stream
@@ -132,7 +133,11 @@ bench-speed:
 # race detector, then the allocation-regression gates of the DG build
 # and the loss oracle (plain — race instrumentation inflates alloc
 # counts, and the gate files are built with //go:build !race), then the
-# pinned public build outputs (both exact oracles on every 2D row) and
+# pinned public build outputs (both exact oracles on every 2D row, and
+# Auto equal to SCMC in d ≥ 4), the d ≥ 4 Auto builds that never reach
+# the dominance graph (traces, sweep, and the fault-injected retry),
+# SCMC no larger than DSMC on small clouds in d 6, 7 and 9 (plain only, built
+# //go:build !race), and
 # the Clarkson scan's pinned extreme-point sequences, brute-force
 # reference and screen yield stop (plain — the scan is sequential), then
 # OptMC against Algorithm 1's overlap-graph reference and its pinned
@@ -141,6 +146,6 @@ speed:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestWarmStartWorkerMatrix|TestGaugeOracleMatchesReference|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
 	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestLossOracleAllocs' ./internal/lp/ ./internal/core/
-	$(GO) test -count=1 -run 'TestBuildOutputsPinned' .
+	$(GO) test -count=1 -run 'TestBuildOutputsPinned|TestAutoDominanceGraphOnlyInD3|TestAutoSCMCNoLargerThanDSMCHighD|TestFaultAutoSCMCRetriesWithoutDSMC' .
 	$(GO) test -count=1 -run 'TestExtremePointsPinned|TestExtremePointsMatchBrute|TestScreenYield' ./internal/hull/
 	$(GO) test -count=1 -run 'TestOptMCMatchesAlgorithm1|TestOptMCSizesPinned' ./internal/core/

@@ -139,8 +139,9 @@ func main() {
 }
 
 // runSweep drives the batched ε-ladder API: one CoresetSweep call builds
-// every requested ε, sharing the dominance graph and the build cache
-// across the ladder, and prints one row per ε.
+// every requested ε, sharing the build cache across the ladder (and the
+// dominance graph, when DSMC runs: requested, or in Auto's d = 3 race),
+// and prints one row per ε.
 func runSweep(ctx context.Context, cs *mincore.Coreseter, name, spec string, algo mincore.Algorithm, prepTime time.Duration) {
 	var epsList []float64
 	for _, s := range strings.Split(spec, ",") {

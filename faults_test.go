@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"mincore"
@@ -104,6 +105,45 @@ func TestFaultDowngradeDSMCToSCMC(t *testing.T) {
 	}
 	if got := cs.Loss(q.Indices); got > 0.1+1e-6 {
 		t.Fatalf("certified coreset has real loss %v", got)
+	}
+}
+
+// In d ≥ 4 Auto is SCMC alone, so a failed SCMC escalates to Auto's
+// re-seeded retry and never to an in-Auto DSMC: with the loss oracle and
+// the dominance-graph build each failing once, the build certifies on
+// its first retry without reaching the dominance-graph failpoint. In
+// d = 3 Auto's race still builds the graph, so the failpoint is hit.
+func TestFaultAutoSCMCRetriesWithoutDSMC(t *testing.T) {
+	for _, d := range []int{3, 4, 5} {
+		cs := newFaultCoreseter(t, 300, d, 53)
+		faultinject.Enable(faultinject.Config{Rate: 1, Times: 1, Sites: []faultinject.Site{
+			faultinject.SiteLossLP, faultinject.SiteDGBuild,
+		}})
+		q, err := cs.Coreset(0.1, mincore.Auto)
+		dgHits := faultinject.Hits(faultinject.SiteDGBuild)
+		faultinject.Disable()
+		if d == 3 {
+			if dgHits == 0 {
+				t.Fatalf("d=3: dominance-graph failpoint never evaluated")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("d=%d: retry should have recovered: %v", d, err)
+		}
+		rep := q.Report
+		if !rep.Certified || rep.Algorithm != mincore.Auto {
+			t.Fatalf("d=%d: certified %v by %s, want a certified auto build", d, rep.Certified, rep.Algorithm)
+		}
+		if got := strings.Join(rep.Fallbacks, " "); got != "retry(auto)#1" {
+			t.Fatalf("d=%d: trail [%s], want [retry(auto)#1]", d, got)
+		}
+		if dgHits != 0 {
+			t.Fatalf("d=%d: dominance-graph failpoint evaluated %d times, want 0", d, dgHits)
+		}
+		if got := cs.Loss(q.Indices); got > 0.1+1e-6 {
+			t.Fatalf("d=%d: certified coreset has real loss %v", d, got)
+		}
 	}
 }
 
@@ -198,7 +238,9 @@ func TestFaultSimplexPivotTotalFailure(t *testing.T) {
 // Seeded stochastic matrix: under a moderate failure rate at every site,
 // each build either certifies (and its loss really meets ε) or fails
 // with a typed error — never a panic, never a silent bad coreset. The
-// seed comes from MINCORE_FAULT_SEED so CI can sweep a matrix.
+// seed comes from MINCORE_FAULT_SEED so CI can sweep a matrix. The 2D
+// cases cover OptMC's chain and DSMC's; auto-d4 covers Auto's d ≥ 4
+// chain, SCMC → retry → ANN → stream sketch.
 func TestFaultSeededMatrix(t *testing.T) {
 	seed := int64(1)
 	if v := os.Getenv("MINCORE_FAULT_SEED"); v != "" {
@@ -208,12 +250,21 @@ func TestFaultSeededMatrix(t *testing.T) {
 		}
 		seed = n
 	}
-	for _, algo := range []mincore.Algorithm{mincore.Auto, mincore.DSMC, mincore.SCMC} {
-		t.Run(string(algo), func(t *testing.T) {
-			cs := newFaultCoreseter(t, 120, 2, 47+seed)
+	for _, tc := range []struct {
+		name string
+		algo mincore.Algorithm
+		d    int
+	}{
+		{"auto", mincore.Auto, 2},
+		{"dsmc", mincore.DSMC, 2},
+		{"scmc", mincore.SCMC, 2},
+		{"auto-d4", mincore.Auto, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cs := newFaultCoreseter(t, 120, tc.d, 47+seed)
 			faultinject.Enable(faultinject.Config{Seed: seed, Rate: 0.35})
 
-			q, err := cs.Coreset(0.1, algo)
+			q, err := cs.Coreset(0.1, tc.algo)
 			faultinject.Disable()
 			switch {
 			case err == nil:

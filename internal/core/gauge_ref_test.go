@@ -59,11 +59,12 @@ func refOwnerLoss(t geom.Vector, qx []geom.Vector, d int) (float64, error) {
 	}
 }
 
-// gaugeRefQSets returns the subsets the oracle is checked on: each ε's
-// Auto coreset (the smaller of DSMC with refinement and SCMC, as the
-// public Auto builds in d ≥ 3), a seeded half of X, a seeded mix of
-// extreme and interior points, a one-sided cap that leaves some owners
-// a whole uncovered cone, X itself, and the empty set.
+// gaugeRefQSets returns the subsets the oracle is checked on: at each ε
+// the smaller of DSMC with refinement and SCMC (the public Auto's pick
+// in d = 3; in d ≥ 4 the public Auto builds SCMC alone), a seeded half
+// of X, a seeded mix of extreme and interior points, a one-sided cap
+// that leaves some owners a whole uncovered cone, X itself, and the
+// empty set.
 func gaugeRefQSets(t *testing.T, inst *Instance) []struct {
 	name string
 	q    []int

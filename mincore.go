@@ -56,7 +56,8 @@ type Point = []float64
 type Algorithm string
 
 const (
-	// Auto picks OptMC in 2D and the smaller of DSMC and SCMC otherwise.
+	// Auto picks OptMC in 2D, the smaller of DSMC and SCMC in d = 3, and
+	// SCMC alone in d ≥ 4.
 	Auto Algorithm = "auto"
 	// OptMC is the optimal 2D algorithm (Section 5 of the paper):
 	// Algorithm 1's candidates, then a minimum cover of the circle by
@@ -580,11 +581,13 @@ func sameIndices(a, b []int) bool {
 }
 
 // CoresetSweep builds certified coresets for a ladder of ε values in one
-// batch, sharing the ε-independent substrate across the ladder: the
-// dominance graph (DSMC) is built once up front and results land in the
-// build cache, so overlapping sweeps and later single builds reuse them.
-// OptMC and SCMC keep no substrate: OptMC computes its candidates' cell
-// arcs per ε, and SCMC's cut loop grows a per-ε direction set. Probes
+// batch, sharing the ε-independent substrate across the ladder: when DSMC
+// runs — requested directly, or inside Auto's d = 3 race — the dominance
+// graph is built once up front, and results land in the build cache, so
+// overlapping sweeps and later single builds reuse them. OptMC and SCMC
+// keep no substrate: OptMC computes its candidates' cell arcs per ε, and
+// SCMC's cut loop grows a per-ε direction set. Auto is OptMC in 2D, the
+// smaller of DSMC and SCMC in d = 3 and SCMC alone in d ≥ 4. Probes
 // run in parallel on the Coreseter's worker budget. Results are returned
 // in epsList order and are bitwise identical to individual CoresetCtx
 // calls at the same ε. Per-ε failures are joined into the returned
@@ -599,10 +602,10 @@ func (c *Coreseter) CoresetSweep(ctx context.Context, epsList []float64, algo Al
 		}
 	}
 	// Pre-build the shared dominance graph when DSMC will run (directly,
-	// or inside the auto race above 2D), so parallel probes reuse it
-	// instead of serializing on the build mutex. A repairable failure is
-	// left for the per-ε pipelines to handle.
-	if algo == DSMC || (algo == Auto && c.Dim() > 2) {
+	// or inside Auto's d = 3 race), so parallel probes reuse it instead
+	// of serializing on the build mutex. A repairable failure is left for
+	// the per-ε pipelines to handle.
+	if algo == DSMC || (algo == Auto && c.Dim() == 3) {
 		if _, err := c.dominanceGraphCtx(ctx); err != nil && !repairable(err) {
 			return nil, err
 		}

@@ -30,6 +30,10 @@ import (
 // overlap graph and shortest cycle. Both are optimal, so every |Q|,
 // algorithm and trail held; the cover picks another optimal set, which
 // moved the index sequence and, in 16 of the rows, the loss.
+// messy-d4/auto/0.02 was re-pinned when Auto in d ≥ 4 became SCMC
+// alone: DSMC and SCMC tie there at 56 points, and Auto, which had kept
+// DSMC's set on a tie, now returns SCMC's. Its |Q|, algorithm and trail
+// held; it now reads as the messy-d4/scmc/0.02 row with algo=auto.
 var buildPins = map[string]string{
 	"normal-d2/auto/0.20":     "n=6 idx=0x5ed412d7569c94d0 loss=0x3fc86d035bc08118 algo=auto fb=[]",
 	"normal-d2/dsmc/0.20":     "n=7 idx=0x609382e3d7c0f3a8 loss=0x3fc7024c0c451908 algo=dsmc fb=[]",
@@ -182,7 +186,7 @@ var buildPins = map[string]string{
 	"messy-d4/auto/0.05":      "n=50 idx=0xec42bfad10fb830b loss=0x3fa8d521325fb050 algo=auto fb=[]",
 	"messy-d4/dsmc/0.05":      "n=52 idx=0x1ca2b53b66743585 loss=0x3fa191d11314f2a0 algo=dsmc fb=[]",
 	"messy-d4/scmc/0.05":      "n=50 idx=0xec42bfad10fb830b loss=0x3fa8d521325fb050 algo=scmc fb=[]",
-	"messy-d4/auto/0.02":      "n=56 idx=0xa457b3a6851c4524 loss=0x3f9346325be7d6a0 algo=auto fb=[]",
+	"messy-d4/auto/0.02":      "n=56 idx=0x9e855c7ce1be3ff4 loss=0x3f9346325be7d660 algo=auto fb=[]",
 	"messy-d4/dsmc/0.02":      "n=56 idx=0xa457b3a6851c4524 loss=0x3f9346325be7d6a0 algo=dsmc fb=[]",
 	"messy-d4/scmc/0.02":      "n=56 idx=0x9e855c7ce1be3ff4 loss=0x3f9346325be7d660 algo=scmc fb=[]",
 	"messy-d4/fixed20/dsmc":   "n=20 idx=0x35d4520800a03a17 loss=0x3fd1560d1dc2017c eps=0x3fd2a4f99999999a algo=dsmc fb=[]",
@@ -358,5 +362,43 @@ func TestBuildOutputsPinned(t *testing.T) {
 		if _, ok := rows[label]; !ok {
 			t.Errorf("%s: pinned row not produced", label)
 		}
+	}
+	checkAutoPolicyD4(t, rows)
+}
+
+// checkAutoPolicyD4 checks the d ≥ 4 Auto policy on the pinned rows of
+// every full input in d ≥ 4 at every ε: (a) the Auto row is the SCMC
+// row with algo=auto in place of algo=scmc, and (b) the SCMC row's |Q|
+// is at most the DSMC row's. (b) is the premise of running SCMC alone:
+// if it fails, the policy needs revisiting, not the pin.
+func checkAutoPolicyD4(t *testing.T, rows map[string]string) {
+	t.Helper()
+	pairs := 0
+	for _, in := range pinnedBuildInputs() {
+		if !in.full || len(in.pts[0]) < 4 {
+			continue
+		}
+		for _, eps := range []float64{0.20, 0.10, 0.05, 0.02} {
+			row := func(a Algorithm) string { return rows[fmt.Sprintf("%s/%s/%.2f", in.name, a, eps)] }
+			auto, dsmc, scmc := row(Auto), row(DSMC), row(SCMC)
+			label := fmt.Sprintf("%s/%.2f", in.name, eps)
+			if want := strings.Replace(scmc, " algo=scmc ", " algo=auto ", 1); auto != want {
+				t.Errorf("%s: Auto is not SCMC:\n auto %s\n scmc %s", label, auto, scmc)
+			}
+			var nd, ns int
+			if _, err := fmt.Sscanf(dsmc, "n=%d", &nd); err != nil {
+				t.Errorf("%s: dsmc row %q: %v", label, dsmc, err)
+			}
+			if _, err := fmt.Sscanf(scmc, "n=%d", &ns); err != nil {
+				t.Errorf("%s: scmc row %q: %v", label, scmc, err)
+			}
+			if ns > nd {
+				t.Errorf("%s: SCMC |Q| %d exceeds DSMC |Q| %d", label, ns, nd)
+			}
+			pairs++
+		}
+	}
+	if pairs != 20 {
+		t.Errorf("checked %d (input, ε) pairs in d ≥ 4, want 20", pairs)
 	}
 }

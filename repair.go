@@ -90,8 +90,9 @@ func validateRequest(eps float64, algo Algorithm) error {
 	if algo == Auto {
 		// In 1D the 0-coreset is exact at any ε (Section 3). In higher
 		// dimensions each sub-algorithm enforces the range itself, so an
-		// out-of-range ε surfaces as the composite all-algorithms-failed
-		// error rather than a single upfront rejection.
+		// out-of-range ε surfaces in 2D and d = 3 as the composite
+		// all-algorithms-failed error, and in d ≥ 4 as SCMC's own range
+		// error, rather than as a single upfront rejection.
 		return nil
 	}
 	if !(eps > 0 && eps < 1) {
@@ -285,8 +286,12 @@ func (c *Coreseter) buildIndices(ctx context.Context, inst *core.Instance, eps f
 }
 
 // autoIndices is the Auto policy over raw index builds: OptMC in 2D,
-// otherwise the smaller of DSMC and SCMC, raced on separate goroutines
-// when the worker budget allows.
+// the smaller of DSMC and SCMC in d = 3 (raced on separate goroutines
+// when the worker budget allows), SCMC alone in d ≥ 4. In d ≥ 4 SCMC
+// came out no larger than DSMC on every measured cloud, d 4 to 9
+// (DESIGN.md §10), while DSMC's dominance graph cost 10–90× SCMC's
+// time, so a failed SCMC goes to the repair chain rather than to DSMC.
+// 2D falls back to the race when OptMC fails.
 func (c *Coreseter) autoIndices(ctx context.Context, inst *core.Instance, eps float64, sp *obs.Span) ([]int, error) {
 	if inst.D == 1 {
 		// Trivial case (Section 3): the two coordinate extremes are an
@@ -295,6 +300,9 @@ func (c *Coreseter) autoIndices(ctx context.Context, inst *core.Instance, eps fl
 		idx, err := inst.MC1D()
 		msp.End()
 		return idx, err
+	}
+	if inst.D >= 4 {
+		return c.buildIndices(ctx, inst, eps, SCMC, sp)
 	}
 	var errOpt error
 	if inst.D == 2 {

@@ -142,19 +142,26 @@ GOMAXPROCS=4 go test -race -count=1 \
 # the loss oracle, run plain because race instrumentation inflates alloc
 # counts (the gate files are excluded via //go:build !race); then, also
 # plain, the pinned public build outputs (every index sequence, loss bit
-# and repair trail of the pinned requests, and both exact oracles on
-# every 2D row) and the Clarkson scan's pinned extreme-point sequences
+# and repair trail of the pinned requests, both exact oracles on every
+# 2D row, and Auto equal to SCMC, never larger than DSMC, on every d ≥ 4
+# row), the d ≥ 4 Auto builds that never reach the dominance graph
+# (no dg-build or dsmc-greedy span, no graph after single builds or a
+# sweep, and a fault-injected SCMC that certifies on Auto's retry
+# without hitting the graph's failpoint), SCMC no larger than DSMC and
+# below ξ on small clouds in d 6, 7 and 9 (built //go:build !race: its DSMC
+# legs take ~10x longer under the race detector), and the Clarkson
+# scan's pinned extreme-point sequences
 # (the interior screen must leave every index and its order unchanged)
 # with the brute-force reference and the screen's yield stop: the scan
 # is sequential, and the race detector makes its 20k-point inputs ~15x
 # slower. Last, plain as well, OptMC against Algorithm 1's overlap-graph
 # reference (one input above 600 candidates) and its pinned size table
 # on clouds of up to 100k points.
-echo "== raw speed (warm-start determinism, gauge oracle reference, SCMC cuts, alloc gates, build and hull pins, OptMC reference and sizes)"
+echo "== raw speed (warm-start determinism, gauge oracle reference, SCMC cuts, alloc gates, build and hull pins, d >= 4 Auto policy, OptMC reference and sizes)"
 GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestWarmStartWorkerMatrix|TestGaugeOracleMatchesReference|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
 go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestLossOracleAllocs' ./internal/lp/ ./internal/core/
-go test -count=1 -run 'TestBuildOutputsPinned' .
+go test -count=1 -run 'TestBuildOutputsPinned|TestAutoDominanceGraphOnlyInD3|TestAutoSCMCNoLargerThanDSMCHighD|TestFaultAutoSCMCRetriesWithoutDSMC' .
 go test -count=1 -run 'TestExtremePointsPinned|TestExtremePointsMatchBrute|TestScreenYield' ./internal/hull/
 go test -count=1 -run 'TestOptMCMatchesAlgorithm1|TestOptMCSizesPinned' ./internal/core/
 
