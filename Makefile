@@ -127,18 +127,18 @@ bench-speed:
 
 # Raw-speed correctness: the warm-start × worker-count determinism
 # matrix, the gauge loss oracle against the per-owner dual LP it
-# replaced (owner by owner, across worker counts and warm-start on/off),
-# and SCMC's cut loop (multiplier and Farkas cut readouts, pinned
-# sizes, round bound, cancellation, worker-count determinism) under the
-# race detector, then the allocation-regression gates of the DG build
-# and the loss oracle (plain — race instrumentation inflates alloc
-# counts, and the gate files are built with //go:build !race), then the
-# pinned public build outputs (both exact oracles on every 2D row, and
-# Auto equal to SCMC in d ≥ 4), the d ≥ 4 Auto builds that never reach
-# the dominance graph (traces, sweep, and the fault-injected retry),
-# SCMC no larger than DSMC on small clouds in d 6, 7 and 9 (plain only, built
-# //go:build !race), and
-# the Clarkson scan's pinned extreme-point sequences, brute-force
+# replaced (owner by owner, across worker counts and warm-start on/off)
+# and, in 2D, against the critical-direction sweep, and SCMC's cut loop
+# (multiplier and Farkas cut readouts, pinned sizes, round bound,
+# cancellation, worker-count determinism) under the race detector,
+# then the allocation-regression gates of the DG build and the loss
+# oracle (plain — race instrumentation inflates alloc counts, and the
+# gate files are built with //go:build !race), then the pinned public
+# build outputs (and Auto equal to SCMC in d ≥ 4), the d ≥ 4 Auto
+# builds that never reach the dominance graph (traces, sweep, and the
+# fault-injected retry), SCMC no larger than DSMC on small clouds in
+# d 6, 7 and 9 (plain only, built //go:build !race), and the Clarkson
+# scan's pinned extreme-point sequences, brute-force
 # reference and screen yield stop (plain — the scan is sequential), then
 # OptMC against Algorithm 1's overlap-graph reference and its pinned
 # size table (plain).

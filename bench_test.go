@@ -149,7 +149,7 @@ func BenchmarkExtremePointsClarkson(b *testing.B) {
 	}
 }
 
-func BenchmarkLossExactLP(b *testing.B) {
+func BenchmarkLoss(b *testing.B) {
 	inst := benchInstance(b, 20000, 4)
 	q, _, err := inst.SCMC(0.1, core.SCMCOptions{})
 	if err != nil {
@@ -157,7 +157,7 @@ func BenchmarkLossExactLP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inst.LossExactLP(q)
+		inst.Loss(q)
 	}
 }
 

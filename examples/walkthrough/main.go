@@ -52,7 +52,7 @@ func main() {
 	}
 	fmt.Printf("\nFigure 2 — OptMC with ε = %g\n", eps)
 	fmt.Printf("optimal coreset (minimum arc cover): %d points, exact loss %.4f\n",
-		len(q), inst.LossExact2D(q))
+		len(q), inst.Loss(q))
 	for _, id := range q {
 		fmt.Printf("  s%-3d (%6.2f,%6.2f)  θ=%6.1f°\n",
 			id, pts[id][0], pts[id][1], geom.Theta(pts[id])*180/math.Pi)
@@ -81,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("greedy dominating set: %d points, exact loss %.4f\n", len(qd), inst.LossExact2D(qd))
+	fmt.Printf("greedy dominating set: %d points, exact loss %.4f\n", len(qd), inst.Loss(qd))
 	opt, err := inst.OptMC(eps)
 	if err != nil {
 		log.Fatal(err)

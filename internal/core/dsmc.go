@@ -320,13 +320,20 @@ func (inst *Instance) dgSubstrate() ([][]geom.Vector, []int) {
 	return inst.dgWitnesses, inst.scanOrder()
 }
 
-// scanOrder returns the memoized scanTour of ExtPts, the order in which
-// the dominance-graph pair loop and the loss oracle's owner scan feed
-// right-hand sides to their warm-started solvers. A build without the
-// dominance graph does not pay for its witness directions.
+// scanOrder returns the memoized order in which the dominance-graph pair
+// loop and the loss oracle's owner scan feed right-hand sides to their
+// warm-started solvers. In 2D that is X's own order: NewInstance sorts
+// X counter-clockwise by angle, so neighbours along the hull are
+// already adjacent and the O(ξ²) greedy tour would buy nothing. Other
+// dimensions take the scanTour of ExtPts. A build without the dominance
+// graph does not pay for its witness directions.
 func (inst *Instance) scanOrder() []int {
 	inst.tourOnce.Do(func() {
-		inst.tour = scanTour(inst.ExtPts)
+		if inst.D == 2 {
+			inst.tour = identity(inst.Xi())
+		} else {
+			inst.tour = scanTour(inst.ExtPts)
+		}
 	})
 	return inst.tour
 }

@@ -44,7 +44,7 @@ func TestDSMCValid2D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if l := inst.LossExact2D(q); l > eps+1e-9 {
+		if l := inst.lossExact2D(q); l > eps+1e-9 {
 			t.Fatalf("ε=%v: DSMC loss %v exceeds ε (|Q|=%d)", eps, l, len(q))
 		}
 	}
@@ -59,7 +59,7 @@ func TestDSMCValid3DExactIPDG(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if l := inst.LossExactLP(q); l > eps+1e-6 {
+		if l := inst.Loss(q); l > eps+1e-6 {
 			t.Fatalf("ε=%v: DSMC loss %v exceeds ε (|Q|=%d)", eps, l, len(q))
 		}
 	}
@@ -75,7 +75,7 @@ func TestDSMCValidHigherDApproxIPDG(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if l := inst.LossExactLP(q); l > eps+1e-6 {
+			if l := inst.Loss(q); l > eps+1e-6 {
 				t.Fatalf("d=%d ε=%v: DSMC loss %v exceeds ε (|Q|=%d)", d, eps, l, len(q))
 			}
 		}
@@ -122,7 +122,7 @@ func TestDSMCRefinedNoWorse(t *testing.T) {
 		if len(refined) > len(plain) {
 			t.Fatalf("ε=%v: refined %d > plain %d", eps, len(refined), len(plain))
 		}
-		if l := inst.LossExactLP(refined); l > eps+1e-6 {
+		if l := inst.Loss(refined); l > eps+1e-6 {
 			t.Fatalf("ε=%v: refined loss %v exceeds ε", eps, l)
 		}
 	}
@@ -215,7 +215,7 @@ func TestDSMCCoversAllExtremesAtTinyEps(t *testing.T) {
 	if len(q) > inst.Xi() {
 		t.Fatalf("|Q| = %d exceeds ξ = %d", len(q), inst.Xi())
 	}
-	if l := inst.LossExact2D(q); l > 1e-9 {
+	if l := inst.lossExact2D(q); l > 1e-9 {
 		t.Fatalf("near-zero ε solution has loss %v", l)
 	}
 }

@@ -8,29 +8,25 @@ import (
 
 	"mincore/internal/faultinject"
 	"mincore/internal/geom"
-	"mincore/internal/hull"
 	"mincore/internal/lp"
 	"mincore/internal/mips"
 	"mincore/internal/obs"
 	"mincore/internal/parallel"
 	"mincore/internal/sphere"
-	"mincore/internal/voronoi"
 )
 
 // Loss evaluation: l(Q,P) = max_{u∈S^{d-1}} 1 − ω(Q,u)/ω(P,u)
-// (Definition 2.2). Three evaluators:
+// (Definition 2.2). Two evaluators:
 //
-//   - LossExact2D: exact in R² by enumerating the critical directions —
-//     the Voronoi boundary vectors of X and of the hull of Q, where the
-//     piecewise-monotone loss attains its maxima.
-//   - LossExactLP: exact in any dimension via the gauge of conv(Q): one
-//     LP per extreme point t, min Σλⱼ s.t. Σλⱼqⱼ = t, λ ≥ 0, whose matrix
-//     is Q for every owner, so one warm-started solver per worker serves
-//     the whole owner scan (DESIGN.md §15.6).
+//   - Loss: exact in any dimension via the gauge of conv(Q): one LP per
+//     extreme point t, min Σλⱼ s.t. Σλⱼqⱼ = t, λ ≥ 0, whose matrix is Q
+//     for every owner, so one warm-started solver per worker serves the
+//     whole owner scan (DESIGN.md §15.6). Its 2D test reference is the
+//     critical-direction sweep in loss2d_ref_test.go.
 //   - LossSampled: per-direction losses over a direction sample, used for
 //     the loss-distribution experiments (Appendix B) and quick validation.
 //
-// All evaluators require a fat instance (ω(P,u) > 0 everywhere) and
+// Both evaluators require a fat instance (ω(P,u) > 0 everywhere) and
 // report losses clamped to [0,1]: a loss of 1 means some direction's
 // maximum is entirely unrepresented (ω(Q,u) ≤ 0).
 //
@@ -46,89 +42,7 @@ import (
 // identical for every worker count. The Ctx variants additionally stop
 // early — returning ctx.Err() — when the context is cancelled.
 
-// LossExact2D returns the exact maximum loss of Q (indices into inst.Pts)
-// in two dimensions, or the conservative worst case 1 when the loss
-// cannot be measured (use LossExact2DCtx to distinguish).
-func (inst *Instance) LossExact2D(q []int) float64 {
-	l, err := inst.LossExact2DCtx(context.Background(), q)
-	if err != nil {
-		return 1
-	}
-	return l
-}
-
-// LossExact2DCtx is LossExact2D with cooperative cancellation.
-func (inst *Instance) LossExact2DCtx(ctx context.Context, q []int) (float64, error) {
-	if obs.On() {
-		mLossExact2D.Inc()
-	}
-	if inst.D != 2 {
-		return 0, fmt.Errorf("core: LossExact2D on %dD instance", inst.D)
-	}
-	if len(q) == 0 {
-		return 1, nil
-	}
-	qpts := make([]geom.Vector, len(q))
-	for i, id := range q {
-		qpts[i] = inst.Pts[id]
-	}
-	// Upper envelope of Q is realized by the hull of Q; its boundary
-	// vectors are the argmax breakpoints.
-	qh, err := hull.Hull2D(qpts)
-	if err != nil {
-		return 0, fmt.Errorf("core: loss evaluation: %w", err)
-	}
-	qExt := make([]geom.Vector, len(qh))
-	for i, id := range qh {
-		qExt[i] = qpts[id]
-	}
-	qExtSorted, err := hull.SortCCWByAngle(qExt, identity(len(qExt)))
-	if err != nil {
-		return 0, fmt.Errorf("core: loss evaluation: %w", err)
-	}
-	ordered := make([]geom.Vector, len(qExtSorted))
-	for i, id := range qExtSorted {
-		ordered[i] = qExt[id]
-	}
-
-	candidates := append([]geom.Vector(nil), inst.BoundaryVecs...)
-	if len(ordered) >= 2 {
-		if bv, err := voronoi.BoundaryVectors2D(ordered); err == nil {
-			candidates = append(candidates, bv...)
-		}
-	}
-	// Guard directions: perpendiculars to each coreset point (where its
-	// own contribution crosses zero) catch the loss-=1 coverage gaps.
-	for _, p := range ordered {
-		th := geom.Theta(p)
-		candidates = append(candidates,
-			geom.UnitFromTheta(th+math.Pi/2), geom.UnitFromTheta(th-math.Pi/2))
-	}
-
-	qTree := mips.NewKDTree(ordered)
-	losses := make([]float64, len(candidates))
-	err = parallel.For(ctx, inst.Workers, len(candidates), func(k int) {
-		u := candidates[k]
-		wp := inst.Omega(u)
-		if wp <= 0 {
-			return // cannot happen on a fat instance
-		}
-		_, wq := qTree.MaxDot(u)
-		losses[k] = 1 - wq/wp
-	})
-	if err != nil {
-		return 0, err
-	}
-	worst := 0.0
-	for _, l := range losses {
-		if l > worst {
-			worst = l
-		}
-	}
-	return clampLoss(worst), nil
-}
-
-// LossExactLP returns the exact maximum loss of Q in any dimension.
+// Loss returns the exact maximum loss of Q (indices into inst.Pts).
 // Comparing support functions, l(Q,P) ≤ ε holds exactly when
 // conv(Q) ⊇ (1−ε)·conv(P), so the loss is read off the gauge of conv(Q)
 // at the extreme points: for each t ∈ X solve
@@ -141,21 +55,21 @@ func (inst *Instance) LossExact2DCtx(ctx context.Context, q []int) (float64, err
 // true worst direction's owner, so the maximum over t ∈ X is l(Q,P). An
 // infeasible gauge LP (t ∉ cone(Q)) means the coreset misses a whole
 // direction cone (loss 1). When the LP oracle fails (numerical
-// instability), the conservative worst case 1 is reported; use
-// LossExactLPCtx to distinguish.
-func (inst *Instance) LossExactLP(q []int) float64 {
-	l, err := inst.LossExactLPCtx(context.Background(), q)
+// instability), the conservative worst case 1 is reported; use LossCtx
+// to distinguish failure from loss.
+func (inst *Instance) Loss(q []int) float64 {
+	l, err := inst.LossCtx(context.Background(), q)
 	if err != nil {
 		return 1
 	}
 	return l
 }
 
-// LossExactLPCtx is LossExactLP with cooperative cancellation. The
-// per-owner LPs run in parallel; once any owner proves loss 1 the
-// remaining LPs are skipped (the result is 1 regardless of which owners
-// were skipped, so the early exit preserves determinism).
-func (inst *Instance) LossExactLPCtx(ctx context.Context, q []int) (float64, error) {
+// LossCtx is Loss with cooperative cancellation. The per-owner LPs run
+// in parallel; once any owner proves loss 1 the remaining LPs are
+// skipped (the result is 1 regardless of which owners were skipped, so
+// the early exit preserves determinism).
+func (inst *Instance) LossCtx(ctx context.Context, q []int) (float64, error) {
 	vals, _, err := inst.ownerLPsCtx(ctx, q, 0, false)
 	if err != nil {
 		return 0, err
@@ -175,7 +89,7 @@ func (inst *Instance) LossExactLPCtx(ctx context.Context, q []int) (float64, err
 const gaugeChunk = 32
 
 // ownerLPsCtx is the exact oracle's per-owner fan-out, shared by
-// LossExactLPCtx and SCMC's cut loop. vals[k] is the loss extreme point
+// LossCtx and SCMC's cut loop. vals[k] is the loss extreme point
 // k's gauge LP proves: 1 − 1/g(t), or 1 when the LP is infeasible (an
 // uncovered direction cone, also every owner's verdict when Q is empty);
 // owners that coincide with a point of Q prove 0 without a solve.
@@ -197,7 +111,7 @@ const gaugeChunk = 32
 // stays nil when that vector cannot be normalized.
 func (inst *Instance) ownerLPsCtx(ctx context.Context, q []int, eps float64, cuts bool) ([]float64, []geom.Vector, error) {
 	if obs.On() {
-		mLossExactLP.Inc()
+		mLossExact.Inc()
 	}
 	vals := make([]float64, len(inst.ExtPts))
 	var dirs []geom.Vector
@@ -396,25 +310,6 @@ func (inst *Instance) MaxLossSampled(q []int, samples int, seed int64) float64 {
 		worst = math.Max(worst, l)
 	}
 	return worst
-}
-
-// Loss picks the exact evaluator for the instance dimension: the critical
-// direction sweep in 2D, the LP elsewhere. When the loss cannot be
-// measured (a numerical failure in the LP oracle) the conservative worst
-// case 1 is reported; use LossCtx to distinguish failure from loss.
-func (inst *Instance) Loss(q []int) float64 {
-	if inst.D == 2 {
-		return inst.LossExact2D(q)
-	}
-	return inst.LossExactLP(q)
-}
-
-// LossCtx is Loss with cooperative cancellation.
-func (inst *Instance) LossCtx(ctx context.Context, q []int) (float64, error) {
-	if inst.D == 2 {
-		return inst.LossExact2DCtx(ctx, q)
-	}
-	return inst.LossExactLPCtx(ctx, q)
 }
 
 func clampLoss(l float64) float64 {

@@ -19,9 +19,7 @@ var (
 	mSCMCRounds = obs.Default.Counter("mincore_scmc_rounds_total",
 		"SCMC cut rounds executed (cover, exact-oracle check, cuts).", nil)
 
-	mLossExact2D = obs.Default.Counter("mincore_loss_oracle_calls_total",
-		"Loss-oracle evaluations by evaluator.", obs.Labels{"evaluator": "exact2d"})
-	mLossExactLP = obs.Default.Counter("mincore_loss_oracle_calls_total",
+	mLossExact = obs.Default.Counter("mincore_loss_oracle_calls_total",
 		"Loss-oracle evaluations by evaluator.", obs.Labels{"evaluator": "exactlp"})
 	mLossSampled = obs.Default.Counter("mincore_loss_oracle_calls_total",
 		"Loss-oracle evaluations by evaluator.", obs.Labels{"evaluator": "sampled"})

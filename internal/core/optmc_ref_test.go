@@ -145,10 +145,10 @@ func TestOptMCMatchesAlgorithm1(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Algorithm 1 found %d but OptMC failed: %v", c.name, len(ref), err)
 		}
-		if l := c.inst.LossExact2D(got); l > c.eps+1e-9 {
+		if l := c.inst.lossExact2D(got); l > c.eps+1e-9 {
 			t.Fatalf("%s: OptMC solution invalid (loss %v)", c.name, l)
 		}
-		if l := c.inst.LossExact2D(ref); l > c.eps+1e-9 {
+		if l := c.inst.lossExact2D(ref); l > c.eps+1e-9 {
 			t.Fatalf("%s: Algorithm 1 solution invalid (loss %v)", c.name, l)
 		}
 		if len(got) != len(ref) {

@@ -36,7 +36,7 @@ func TestOptMCReturnsValidCoreset(t *testing.T) {
 		if len(q) == 0 {
 			t.Fatalf("ε=%v: empty solution", eps)
 		}
-		if l := inst.LossExact2D(q); l > eps+1e-9 {
+		if l := inst.lossExact2D(q); l > eps+1e-9 {
 			t.Fatalf("ε=%v: loss %v exceeds ε (|Q|=%d)", eps, l, len(q))
 		}
 		// Also validate against dense sampling (independent evaluator).
@@ -88,7 +88,7 @@ func bruteMinCoreset(inst *Instance, eps float64) int {
 				for i, c := range idx {
 					q[i] = cand[c]
 				}
-				return inst.LossExact2D(q) <= eps
+				return inst.lossExact2D(q) <= eps
 			}
 			for i := start; i < n; i++ {
 				idx[k] = i
@@ -126,8 +126,8 @@ func TestOptMCOptimalAgainstBruteForce(t *testing.T) {
 			}
 			continue
 		}
-		if inst.LossExact2D(q) > eps+1e-9 {
-			t.Fatalf("trial %d: invalid solution (loss %v > ε=%v)", trial, inst.LossExact2D(q), eps)
+		if inst.lossExact2D(q) > eps+1e-9 {
+			t.Fatalf("trial %d: invalid solution (loss %v > ε=%v)", trial, inst.lossExact2D(q), eps)
 		}
 		if len(q) != want {
 			t.Fatalf("trial %d (ε=%v): OptMC size %d vs brute-force optimum %d",
@@ -208,7 +208,7 @@ func TestLossExact2DAgainstSampling(t *testing.T) {
 		for i := range q {
 			q[i] = rng.Intn(len(inst.Pts))
 		}
-		exact := inst.LossExact2D(q)
+		exact := inst.lossExact2D(q)
 		sampled := inst.MaxLossSampled(q, 50000, int64(trial))
 		if sampled > exact+1e-9 {
 			t.Fatalf("trial %d: sampled loss %v exceeds exact %v", trial, sampled, exact)
@@ -229,20 +229,20 @@ func TestLossExactLPMatches2DEvaluator(t *testing.T) {
 		for i := range q {
 			q[i] = rng.Intn(len(inst.Pts))
 		}
-		a := inst.LossExact2D(q)
-		b := inst.LossExactLP(q)
+		a := inst.lossExact2D(q)
+		b := inst.Loss(q)
 		if math.Abs(a-b) > 1e-6 {
-			t.Fatalf("trial %d: LossExact2D %v vs LossExactLP %v (Q=%v)", trial, a, b, q)
+			t.Fatalf("trial %d: reference sweep %v vs Loss %v (Q=%v)", trial, a, b, q)
 		}
 	}
 }
 
 func TestLossEmptyCoreset(t *testing.T) {
 	inst := fatRandom2D(t, 50, 29)
-	if l := inst.LossExact2D(nil); l != 1 {
+	if l := inst.lossExact2D(nil); l != 1 {
 		t.Fatalf("empty coreset loss = %v want 1", l)
 	}
-	if l := inst.LossExactLP(nil); l != 1 {
+	if l := inst.Loss(nil); l != 1 {
 		t.Fatalf("empty coreset LP loss = %v want 1", l)
 	}
 }
@@ -250,10 +250,10 @@ func TestLossEmptyCoreset(t *testing.T) {
 func TestLossFullSetIsZero(t *testing.T) {
 	inst := fatRandom2D(t, 100, 31)
 	all := identity(len(inst.Pts))
-	if l := inst.LossExact2D(all); l > 1e-9 {
+	if l := inst.lossExact2D(all); l > 1e-9 {
 		t.Fatalf("full set loss = %v want 0", l)
 	}
-	if l := inst.LossExactLP(all); l > 1e-6 {
+	if l := inst.Loss(all); l > 1e-6 {
 		t.Fatalf("full set LP loss = %v want 0", l)
 	}
 }

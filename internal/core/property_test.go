@@ -23,14 +23,14 @@ func TestPropertyLossMonotone(t *testing.T) {
 			q[i] = rng.Intn(n)
 		}
 		super := append(append([]int(nil), q...), rng.Intn(n))
-		return inst.LossExact2D(super) <= inst.LossExact2D(q)+1e-12
+		return inst.Loss(super) <= inst.Loss(q)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// The exact 2D loss and the LP loss agree on arbitrary subsets.
+// The gauge oracle and the 2D reference sweep agree on arbitrary subsets.
 func TestPropertyLossEvaluatorsAgree(t *testing.T) {
 	inst := fatRandom2D(t, 80, 103)
 	f := func(seed int64, k uint8) bool {
@@ -40,7 +40,7 @@ func TestPropertyLossEvaluatorsAgree(t *testing.T) {
 		for i := range q {
 			q[i] = rng.Intn(inst.N())
 		}
-		a, b := inst.LossExact2D(q), inst.LossExactLP(q)
+		a, b := inst.lossExact2D(q), inst.Loss(q)
 		return a-b < 1e-6 && b-a < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {

@@ -61,12 +61,12 @@ func (inst *Instance) SCMC(eps float64, opts SCMCOptions) ([]int, int, error) {
 //
 // The universe starts as 32·(d+1) uniform directions drawn from
 // opts.Seed. Each round covers it greedily at γ and runs the exact loss
-// oracle (LossExactLP's per-owner gauge LPs) on the cover; every owner
+// oracle (Loss's per-owner gauge LPs) on the cover; every owner
 // whose loss exceeds ε contributes one cut — the direction its LP proves
 // the loss in — and the next round covers the grown universe. Every later
 // cover represents a cut u to within γ, below ε at the default γ = ε/2,
 // so no direction the oracle named is violated again; the loop ends when
-// no owner exceeds ε, which is LossExactLP(Q) ≤ ε. After scmcRounds
+// no owner exceeds ε, which is Loss(Q) ≤ ε. After scmcRounds
 // rounds, or when a violating owner yields no usable cut, it gives up and
 // returns X, a 0-coreset. Cuts are collected in owner order, so the
 // result is identical for every worker count.

@@ -51,7 +51,7 @@ var scmcPins = []struct {
 }
 
 // TestSCMCGoldenSizes holds SCMC to its pinned sizes: never larger, and
-// the exact loss certifies (LossExact2D in 2D, LossExactLP elsewhere).
+// the exact loss certifies (the 2D reference sweep in 2D, Loss elsewhere).
 func TestSCMCGoldenSizes(t *testing.T) {
 	insts := map[[2]int]*Instance{}
 	for _, pin := range scmcPins {
@@ -70,9 +70,9 @@ func TestSCMCGoldenSizes(t *testing.T) {
 		}
 		var l float64
 		if pin.d == 2 {
-			l = inst.LossExact2D(q)
+			l = inst.lossExact2D(q)
 		} else {
-			l = inst.LossExactLP(q)
+			l = inst.Loss(q)
 		}
 		if l > pin.eps+1e-9 {
 			t.Errorf("d=%d n=%d ε=%v: loss %v exceeds ε (|Q|=%d)", pin.d, pin.n, pin.eps, l, len(q))
@@ -164,7 +164,7 @@ func TestSCMCCutsFromOneDirection(t *testing.T) {
 	if total <= 1 || len(q) >= inst.Xi() {
 		t.Fatalf("loop did not converge: |Q|=%d of ξ=%d after %d directions", len(q), inst.Xi(), total)
 	}
-	if l := inst.LossExactLP(q); l > eps+1e-9 {
+	if l := inst.Loss(q); l > eps+1e-9 {
 		t.Fatalf("loss %v exceeds ε", l)
 	}
 }
@@ -180,7 +180,7 @@ func TestSCMCRoundBoundGivesUpWithX(t *testing.T) {
 	if total != 1 || !slices.Equal(q, inst.X) {
 		t.Fatalf("gave up with |Q|=%d after %d directions, want X (ξ=%d)", len(q), total, inst.Xi())
 	}
-	if l, err := inst.LossExactLPCtx(context.Background(), q); err != nil || l != 0 {
+	if l, err := inst.LossCtx(context.Background(), q); err != nil || l != 0 {
 		t.Fatalf("X loss %v (err %v), want 0", l, err)
 	}
 }
@@ -245,7 +245,7 @@ func TestSCMCNet2D(t *testing.T) {
 	}
 	// Lemma A.1: with the full deterministic net, the result satisfies
 	// l(Q) ≤ 2δ + γ = ε by construction.
-	if l := inst.LossExact2D(q); l > eps+1e-9 {
+	if l := inst.lossExact2D(q); l > eps+1e-9 {
 		t.Fatalf("SCMCNet loss %v exceeds ε=%v", l, eps)
 	}
 }
@@ -277,7 +277,7 @@ func TestSCMCGammaTradeoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range [][]int{qSmallGamma, qBigGamma} {
-		if l := inst.LossExactLP(q); l > eps+1e-9 {
+		if l := inst.Loss(q); l > eps+1e-9 {
 			t.Fatalf("γ-variant invalid: loss %v", l)
 		}
 	}
@@ -306,7 +306,7 @@ func TestDualSolveOptMC(t *testing.T) {
 		if len(q) > r {
 			t.Fatalf("r=%d: |Q|=%d exceeds budget", r, len(q))
 		}
-		if l := inst.LossExact2D(q); l > eps+1e-9 {
+		if l := inst.lossExact2D(q); l > eps+1e-9 {
 			t.Fatalf("r=%d: returned coreset has loss %v above its ε=%v", r, l, eps)
 		}
 	}

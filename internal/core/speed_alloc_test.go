@@ -38,7 +38,7 @@ func TestEdgeLPAllocs(t *testing.T) {
 
 // Allocation-regression gate on the exact loss oracle: one gauge
 // Problem per worker per call and a warm-started solver across owners
-// keep a LossExactLP call at a handful of allocations plus one key per
+// keep a Loss call at a handful of allocations plus one key per
 // point of Q (226 on this instance: ξ 261, |Q| 183). Only the 78 owners
 // outside Q solve an LP, so the ceiling is per point of Q, not per
 // owner: rebuilding the gauge problem per owner reads 1,318 here, and
@@ -55,14 +55,14 @@ func TestLossOracleAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(3, func() {
-		if _, err := inst.LossExactLPCtx(context.Background(), q); err != nil {
+		if _, err := inst.LossCtx(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	})
 	xi := inst.Xi()
 	ceiling := float64(xi + 2*len(q) + 100)
 	if avg > ceiling {
-		t.Fatalf("LossExactLP allocates %.0f objects (ξ=%d, |Q|=%d), ceiling %.0f — the oracle rebuilds per owner again",
+		t.Fatalf("Loss allocates %.0f objects (ξ=%d, |Q|=%d), ceiling %.0f — the oracle rebuilds per owner again",
 			avg, xi, len(q), ceiling)
 	}
 }

@@ -109,7 +109,7 @@ func TestDirectionGridValid(t *testing.T) {
 	}
 	// 720 directions at 0.5° spacing: loss below ~1−cos(0.25°)/α margin;
 	// generous check at 0.05.
-	if l := inst.LossExact2D(q); l > 0.05 {
+	if l := inst.Loss(q); l > 0.05 {
 		t.Fatalf("direction-grid loss %v too high", l)
 	}
 	if _, err := DirectionGrid(nil, 10, 1); err == nil {

@@ -100,7 +100,7 @@ func TestReductionEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: reduced instance not usable: %v", trial, err)
 		}
 		optRMS := OptimalRMS(p0, eps)
-		optMC := OptimalMC(len(p1), eps, inst.LossExactLP)
+		optMC := OptimalMC(len(p1), eps, inst.Loss)
 		if optMC != optRMS+GadgetCount {
 			t.Fatalf("trial %d (ε=%v, η=%v): OPT_MC=%d, OPT_RMS=%d — want OPT_MC = OPT_RMS+3",
 				trial, eps, eta, optMC, optRMS)
@@ -122,7 +122,7 @@ func TestGadgetsAreMandatory(t *testing.T) {
 	}
 	// All of P₀ plus only two gadgets.
 	q := []int{0, 1, 2, 3, 4, 5, 6} // missing gadget index 7 (b_z)
-	if l := inst.LossExactLP(q); l < 0.99 {
+	if l := inst.Loss(q); l < 0.99 {
 		t.Fatalf("solution missing b_z has loss %v, want ≈ 1", l)
 	}
 }
@@ -166,7 +166,7 @@ func TestRMSSolutionPlusGadgetsIsCoreset(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := append(append([]int(nil), sol...), len(p0), len(p0)+1, len(p0)+2)
-	if l := inst.LossExactLP(q); l > eps+1e-6 {
+	if l := inst.Loss(q); l > eps+1e-6 {
 		t.Fatalf("RMS solution ∪ B has MC loss %v > ε=%v", l, eps)
 	}
 }

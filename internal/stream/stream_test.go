@@ -132,7 +132,7 @@ func TestSummaryCoresetLoss(t *testing.T) {
 	for i, p := range q {
 		ids[i] = idx[string(geom.AppendKey(nil, p))]
 	}
-	if l := inst.LossExactLP(ids); l > 0.1 {
+	if l := inst.Loss(ids); l > 0.1 {
 		t.Fatalf("streamed coreset loss %v > 0.1 (m=%d, |Q|=%d)", l, m, len(q))
 	}
 }

@@ -95,9 +95,6 @@ type Options struct {
 	PerturbScale float64
 	// Seed drives all randomized components (perturbation, sampling).
 	Seed int64
-	// IPDGSamples overrides the direction-sample count for the
-	// approximate IPDG in d > 3 (0 = default, 64·ξ).
-	IPDGSamples int
 	// Workers is the degree of parallelism for the hot paths
 	// (dominance-graph LPs, loss evaluation, SCMC's set system):
 	// 0 selects GOMAXPROCS, 1 forces sequential execution. Outputs are
@@ -413,6 +410,7 @@ func (c *Coreseter) buildOnce(ctx context.Context, eps float64, algo Algorithm, 
 	if !c.opts.SkipCertify {
 		return c.buildCertified(ctx, eps, algo, cacheState)
 	}
+	start := time.Now()
 	tr := obs.NewTrace("build")
 	tr.Root.SetAttr("requested", string(algo))
 	tr.Root.SetAttr("eps", fmt.Sprintf("%g", eps))
@@ -420,6 +418,7 @@ func (c *Coreseter) buildOnce(ctx context.Context, eps float64, algo Algorithm, 
 		tr.Root.SetAttr("cache", cacheState)
 	}
 	sp := tr.Root.StartChild(fmt.Sprintf("attempt(%s)#1", algo))
+	mBuildAttempts.Inc()
 	bsp := sp.StartChild("build-indices")
 	idx, err := c.buildIndices(ctx, c.inst, eps, algo, bsp)
 	if err != nil {
@@ -441,11 +440,12 @@ func (c *Coreseter) buildOnce(ctx context.Context, eps float64, algo Algorithm, 
 	msp.SetAttr("loss", fmt.Sprintf("%.6g", q.Loss))
 	msp.End()
 	sp.End()
+	tr.Root.SetAttr("algorithm", string(algo))
 	tr.Root.End()
 	q.Report = &BuildReport{
 		Requested: algo, Algorithm: algo, Eps: eps,
 		CertifiedLoss: q.Loss, Certified: q.Loss <= eps+certTol,
-		Attempts: 1, Trace: tr,
+		Attempts: 1, Wall: time.Since(start), Trace: tr,
 	}
 	return q, nil
 }
@@ -651,7 +651,7 @@ func (c *Coreseter) dominanceGraphCtx(ctx context.Context) (*core.DominanceGraph
 	if c.dg != nil {
 		return c.dg, nil
 	}
-	ipdg := c.inst.BuildIPDG(c.opts.IPDGSamples, c.opts.Seed+13)
+	ipdg := c.inst.BuildIPDG(0, c.opts.Seed+13)
 	dg, err := c.inst.BuildDominanceGraphCtx(ctx, ipdg)
 	if err != nil {
 		return nil, err

@@ -67,19 +67,34 @@ func TestTraceOnCertifiedBuild(t *testing.T) {
 	}
 }
 
+// A single-pass build is a fresh build like a certified one: a nonzero
+// Wall (zero marks a cache hit), one counted attempt, and the algorithm
+// on the trace root.
 func TestTraceOnSkipCertify(t *testing.T) {
 	cs, err := mincore.New(faultPoints(200, 2, 13),
 		mincore.WithSeed(13), mincore.WithWorkers(1), mincore.WithCertification(false))
 	if err != nil {
 		t.Fatal(err)
 	}
+	attempts := obs.Default.Counter("mincore_build_attempts_total",
+		"Build attempts across first tries, retries, and fallbacks.", nil)
+	before := attempts.Value()
 	q, err := cs.Coreset(0.1, mincore.SCMC)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := attempts.Value() - before; got != uint64(q.Report.Attempts) || got != 1 {
+		t.Errorf("mincore_build_attempts_total moved by %d, Report.Attempts %d; want 1", got, q.Report.Attempts)
+	}
+	if q.Report.Wall <= 0 {
+		t.Errorf("Report.Wall = %v on a fresh build", q.Report.Wall)
+	}
 	tr := q.Report.Trace
 	if tr == nil {
 		t.Fatal("skip-certify build report has no trace")
+	}
+	if got := tr.Root.Attr("algorithm"); got != string(mincore.SCMC) {
+		t.Errorf("trace root algorithm = %q, want %q", got, mincore.SCMC)
 	}
 	requireSpan(t, tr, "attempt(scmc)#1")
 	requireSpan(t, tr, "measure-loss")

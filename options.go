@@ -54,12 +54,6 @@ func WithPerturbScale(scale float64) Option {
 	return optionFunc(func(o *Options) { o.PerturbScale = scale })
 }
 
-// WithIPDGSamples overrides the direction-sample count for the
-// approximate IPDG in d > 3 (0 = default, 64·ξ).
-func WithIPDGSamples(n int) Option {
-	return optionFunc(func(o *Options) { o.IPDGSamples = n })
-}
-
 // WithMaxRetries bounds the re-seeded perturbation retries the repair
 // pipeline makes per fallback-chain entry: 0 selects the default of 1,
 // negative disables retries entirely.

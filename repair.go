@@ -349,7 +349,7 @@ func (c *Coreseter) dgFor(ctx context.Context, inst *core.Instance) (*core.Domin
 	if inst == c.inst {
 		return c.dominanceGraphCtx(ctx)
 	}
-	ipdg := inst.BuildIPDG(c.opts.IPDGSamples, c.opts.Seed+13)
+	ipdg := inst.BuildIPDG(0, c.opts.Seed+13)
 	return inst.BuildDominanceGraphCtx(ctx, ipdg)
 }
 

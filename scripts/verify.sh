@@ -135,22 +135,23 @@ GOMAXPROCS=4 go test -race -count=1 \
 # reproduce the cold results bit for bit across worker counts — the
 # gauge loss oracle against the per-owner dual LP it replaced (every
 # owner's loss within 1e-12, loss 1 exactly where the reference reads
-# ≥ 1, bitwise identical across worker counts and warm-start on/off),
-# and SCMC's cut loop: multiplier and Farkas cut readouts, the pinned
-# sizes, the round bound, cancellation mid-loop, and bitwise determinism
-# at ε = 0.02; then the allocation-regression gates of the DG build and
-# the loss oracle, run plain because race instrumentation inflates alloc
-# counts (the gate files are excluded via //go:build !race); then, also
-# plain, the pinned public build outputs (every index sequence, loss bit
-# and repair trail of the pinned requests, both exact oracles on every
-# 2D row, and Auto equal to SCMC, never larger than DSMC, on every d ≥ 4
-# row), the d ≥ 4 Auto builds that never reach the dominance graph
-# (no dg-build or dsmc-greedy span, no graph after single builds or a
-# sweep, and a fault-injected SCMC that certifies on Auto's retry
-# without hitting the graph's failpoint), SCMC no larger than DSMC and
-# below ξ on small clouds in d 6, 7 and 9 (built //go:build !race: its DSMC
-# legs take ~10x longer under the race detector), and the Clarkson
-# scan's pinned extreme-point sequences
+# ≥ 1, bitwise identical across worker counts and warm-start on/off)
+# in d 2-6, and in 2D against the critical-direction sweep, its test
+# reference there (every set's loss within 1e-12), and SCMC's cut
+# loop: multiplier and Farkas cut readouts, the pinned sizes, the round
+# bound, cancellation mid-loop, and bitwise determinism at ε = 0.02;
+# then the allocation-regression gates of the DG build and the loss
+# oracle, run plain because race instrumentation inflates alloc counts
+# (the gate files are excluded via //go:build !race); then, also plain,
+# the pinned public build outputs (every index sequence, loss bit and
+# repair trail of the pinned requests, and Auto equal to SCMC, never
+# larger than DSMC, on every d ≥ 4 row), the d ≥ 4 Auto builds that
+# never reach the dominance graph (no dg-build or dsmc-greedy span, no
+# graph after single builds or a sweep, and a fault-injected SCMC that
+# certifies on Auto's retry without hitting the graph's failpoint), SCMC
+# no larger than DSMC and below ξ on small clouds in d 6, 7 and 9
+# (built //go:build !race: its DSMC legs take ~10x longer under the race
+# detector), and the Clarkson scan's pinned extreme-point sequences
 # (the interior screen must leave every index and its order unchanged)
 # with the brute-force reference and the screen's yield stop: the scan
 # is sequential, and the race detector makes its 20k-point inputs ~15x
