@@ -141,11 +141,13 @@ bench-speed:
 # scan's pinned extreme-point sequences, brute-force
 # reference and screen yield stop (plain — the scan is sequential), then
 # OptMC against Algorithm 1's overlap-graph reference and its pinned
-# size table (plain).
+# size table (plain), and last the stream sketch's champion floor
+# against a brute-force argmax and the served-path pins (plain).
 speed:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestWarmStartWorkerMatrix|TestGaugeOracleMatchesReference|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
 	$(GO) test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestLossOracleAllocs' ./internal/lp/ ./internal/core/
-	$(GO) test -count=1 -run 'TestBuildOutputsPinned|TestAutoDominanceGraphOnlyInD3|TestAutoSCMCNoLargerThanDSMCHighD|TestFaultAutoSCMCRetriesWithoutDSMC' .
+	$(GO) test -count=1 -run 'TestBuildOutputsPinned|TestAutoDominanceGraphOnlyInD3|TestAutoSCMCNoLargerThanDSMCHighD|TestFaultAutoSCMCRetriesWithoutDSMC|TestServedPathPinned' .
 	$(GO) test -count=1 -run 'TestExtremePointsPinned|TestExtremePointsMatchBrute|TestScreenYield' ./internal/hull/
 	$(GO) test -count=1 -run 'TestOptMCMatchesAlgorithm1|TestOptMCSizesPinned' ./internal/core/
+	$(GO) test -count=1 -run 'TestFeedFloorMatchesBrute|TestVersionTracksChampionChanges' ./internal/stream/

@@ -314,20 +314,47 @@ func BenchmarkAblationKernelGrid(b *testing.B) {
 // --- Streaming path ---
 
 // BenchmarkStreamFeed measures per-point ingest into the streaming
-// sketch — the service's hot write path (validation + champion update).
+// sketch — the service's hot write path (validation + champion update)
+// — on NORMAL streams with the net sized for sketch ε 0.1 at α 0.25.
+// cold feeds each pass over the stream into a fresh summary, where early
+// points still beat champions and scan the whole net; settled feeds a
+// summary that has seen the stream once, where the champion floor skips
+// most points in O(d).
 func BenchmarkStreamFeed(b *testing.B) {
-	ds := data.Normal(100000, 4, 7)
-	pts := make([]mincore.Point, len(ds.Points))
-	for i, p := range ds.Points {
-		pts[i] = mincore.Point(p)
-	}
-	ss := mincore.NewStreamSummary(4, 0.1, 0.25, 7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ss.Feed(pts[i%len(pts)]); err != nil {
-			b.Fatal(err)
+	for _, c := range []struct{ d, n int }{{4, 50000}, {5, 10000}} {
+		ds := data.Normal(c.n, c.d, 7)
+		pts := make([]mincore.Point, len(ds.Points))
+		for i, p := range ds.Points {
+			pts[i] = mincore.Point(p)
 		}
+		feed := func(b *testing.B, ss *mincore.StreamSummary, p mincore.Point) {
+			if err := ss.Feed(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(fmt.Sprintf("d%d/cold", c.d), func(b *testing.B) {
+			var ss *mincore.StreamSummary
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%len(pts) == 0 {
+					b.StopTimer()
+					ss = mincore.NewStreamSummary(c.d, 0.1, 0.25, 7)
+					b.StartTimer()
+				}
+				feed(b, ss, pts[i%len(pts)])
+			}
+		})
+		b.Run(fmt.Sprintf("d%d/settled", c.d), func(b *testing.B) {
+			ss := mincore.NewStreamSummary(c.d, 0.1, 0.25, 7)
+			for _, p := range pts {
+				feed(b, ss, p)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				feed(b, ss, pts[i%len(pts)])
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package mincore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -444,26 +445,39 @@ func TestCoresetSweepMatchesIndividualBuilds(t *testing.T) {
 	}
 }
 
+// TestServeCoresetCacheHitAndIngestInvalidation checks that the serve
+// cache follows the champions, not the stream position: batches of
+// already-seen and of interior points advance the stream but keep the
+// hit, which carries the checkpoint provenance of now, and a point
+// beyond the champions makes the next request rebuild.
 func TestServeCoresetCacheHitAndIngestInvalidation(t *testing.T) {
 	svc := newTestService(t, ServeOptions{Dim: 2, Seed: 5})
 	defer svc.Close()
 	pts := randomPoints(200, 2, 31)
-	if err := svc.Feed(pts...); err != nil {
-		t.Fatal(err)
+	n := 0
+	feed := func(batch []Point) {
+		t.Helper()
+		if err := svc.Feed(batch...); err != nil {
+			t.Fatal(err)
+		}
+		n += len(batch)
+		drain(t, svc, int64(n))
 	}
-	drain(t, svc, int64(len(pts)))
+	read := func() *Coreset {
+		t.Helper()
+		q, err := svc.Coreset(context.Background(), 0.1, Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	feed(pts)
 
-	q1, err := svc.Coreset(context.Background(), 0.1, Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q1 := read()
 	if q1.Report.CacheHit {
 		t.Fatal("first served build cannot be a hit")
 	}
-	q2, err := svc.Coreset(context.Background(), 0.1, Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q2 := read()
 	if !q2.Report.CacheHit {
 		t.Fatal("repeated served build must hit the cache")
 	}
@@ -471,26 +485,102 @@ func TestServeCoresetCacheHitAndIngestInvalidation(t *testing.T) {
 	if q2.Report.Checkpoint == nil || q2.Report.Checkpoint.StreamN != len(pts) {
 		t.Fatalf("cached hit must carry fresh checkpoint provenance: %+v", q2.Report.Checkpoint)
 	}
-	st := svc.Stats()
-	if st.CacheHits != 1 || st.CacheMisses != 1 {
+	if st := svc.Stats(); st.CacheHits != 1 || st.CacheMisses != 1 {
 		t.Fatalf("stats: want hits=1 misses=1, got hits=%d misses=%d", st.CacheHits, st.CacheMisses)
 	}
 
-	// Ingest advances the stream position: the cache key changes and the
-	// next request rebuilds against the new summary.
-	if err := svc.Feed(randomPoints(40, 2, 32)...); err != nil {
-		t.Fatal(err)
+	// randomPoints centers the cloud on (7,7): pulled 90% of the way
+	// there, a point lies deep inside the hull and beats no champion.
+	interior := make([]Point, 40)
+	for i, p := range pts[40:80] {
+		interior[i] = Point{7 + 0.1*(p[0]-7), 7 + 0.1*(p[1]-7)}
 	}
-	drain(t, svc, int64(len(pts)+40))
-	q3, err := svc.Coreset(context.Background(), 0.1, Auto)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		batch []Point
+	}{{"already-seen", pts[:40]}, {"interior", interior}} {
+		feed(c.batch)
+		q := read()
+		if !q.Report.CacheHit {
+			t.Fatalf("a batch of %s points changed no champion, yet the cache missed", c.name)
+		}
+		samePointsBitwise(t, q1, q)
+		if q.Report.Checkpoint == nil || q.Report.Checkpoint.StreamN != n {
+			t.Fatalf("%s hit: checkpoint provenance %+v, want StreamN %d", c.name, q.Report.Checkpoint, n)
+		}
 	}
+
+	// A point beyond the champions replaces some of them: the next
+	// request rebuilds against the new summary.
+	feed([]Point{{1e3, 1e3}})
+	q3 := read()
 	if q3.Report.CacheHit {
-		t.Fatal("ingest must invalidate the served-coreset cache")
+		t.Fatal("a change of champion must invalidate the served-coreset cache")
 	}
-	if st := svc.Stats(); st.CacheMisses != 2 {
-		t.Fatalf("want 2 misses after invalidation, got %d", st.CacheMisses)
+	if st := svc.Stats(); st.CacheHits != 3 || st.CacheMisses != 2 {
+		t.Fatalf("stats: want hits=3 misses=2, got hits=%d misses=%d", st.CacheHits, st.CacheMisses)
+	}
+}
+
+// TestServeCoresetCacheHitMatchesUncached feeds one stream to a cached
+// service and to an uncached one (BuildCache -1) and reads both after
+// every batch: each answer, hit or rebuild, must be bitwise the same,
+// and the cached service must hit exactly when the champion version — on
+// two ingest workers, the sum over the shards — has not moved.
+func TestServeCoresetCacheHitMatchesUncached(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cached := newTestService(t, ServeOptions{Dim: 2, Seed: 5, IngestWorkers: workers})
+			defer cached.Close()
+			plain := newTestService(t, ServeOptions{Dim: 2, Seed: 5, BuildCache: -1})
+			defer plain.Close()
+
+			pts := randomPoints(600, 2, 37)
+			batches := [][]Point{pts[:300]}
+			for i := 0; i < 300; i += 50 {
+				batches = append(batches, pts[i:i+50]) // already seen
+			}
+			batches = append(batches, pts[300:350], pts[:100], pts[350:600], pts[100:300])
+			n, prev, hits := 0, uint64(0), 0
+			for i, b := range batches {
+				for _, svc := range []*IngestService{cached, plain} {
+					if err := svc.Feed(b...); err != nil {
+						t.Fatal(err)
+					}
+					drain(t, svc, int64(n+len(b)))
+				}
+				n += len(b)
+				_, version := cached.streamPosition()
+				var sum uint64
+				for _, sh := range cached.shards {
+					sum += sh.sum.Version()
+				}
+				if version != sum {
+					t.Fatalf("batch %d: version %d, shards sum to %d", i, version, sum)
+				}
+				got, err := cached.Coreset(context.Background(), 0.1, Auto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := plain.Coreset(context.Background(), 0.1, Auto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samePointsBitwise(t, want, got)
+				if hit := i > 0 && version == prev; got.Report.CacheHit != hit {
+					t.Fatalf("batch %d: CacheHit %v at version %d after %d", i, got.Report.CacheHit, version, prev)
+				}
+				if got.Report.CacheHit {
+					hits++
+				}
+				prev = version
+			}
+			// On two workers a batch a shard has not seen may change that
+			// shard's champions, so only one worker fixes the hit count.
+			if workers == 1 && (hits == 0 || hits == len(batches)-1) {
+				t.Fatalf("%d hits over %d reads: the stream must both keep and change champions", hits, len(batches))
+			}
+		})
 	}
 }
 

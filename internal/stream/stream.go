@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"mincore/internal/obs"
 
@@ -56,6 +57,16 @@ type Summary struct {
 	n     int   // points consumed
 	m     int   // requested direction count (pre axis augmentation)
 	seed  int64 // direction-net seed
+	// floor is min_k bestV[k], or −Inf while a slot is empty, and uMax
+	// the largest ‖u‖ over dirs: a point with ‖p‖·uMax below the floor
+	// can replace no champion. Feed derives both when floorOK is false,
+	// as it is after NewSummary, Merge and FromState, so a summary that
+	// is only merged and read never pays for them.
+	floor, uMax float64
+	floorOK     bool
+	// version counts the Feed and Merge calls that changed a slot, so an
+	// unchanged version means unchanged champions.
+	version uint64
 }
 
 // NewSummary builds a summary over m near-uniform directions in R^d
@@ -82,10 +93,12 @@ func NewSummary(m, d int, seed int64) *Summary {
 	}
 }
 
-// Feed validates and consumes one stream point in O(m·d) time. A point
-// with the wrong dimension or a NaN/Inf coordinate is rejected with
-// ErrInvalidPoint and leaves the summary untouched — invalid input must
-// never corrupt a summary that may already persist days of stream.
+// Feed validates and consumes one stream point. A point that can beat
+// some champion costs O(m·d); once the stream settles, most points fall
+// below every champion and cost O(d). A point with the wrong dimension or
+// a NaN/Inf coordinate is rejected with ErrInvalidPoint and leaves the
+// summary untouched — invalid input must never corrupt a summary that may
+// already persist days of stream.
 func (s *Summary) Feed(p geom.Vector) error {
 	if p.Dim() != s.d {
 		return fmt.Errorf("%w: dimension %d, summary dimension %d", ErrInvalidPoint, p.Dim(), s.d)
@@ -95,13 +108,25 @@ func (s *Summary) Feed(p geom.Vector) error {
 			return fmt.Errorf("%w: coordinate %d is %v", ErrInvalidPoint, j, v)
 		}
 	}
+	if !s.floorOK {
+		s.resetFloor()
+	}
 	updates := 0
-	for k, u := range s.dirs {
-		v := geom.Dot(p, u)
-		if s.best[k] == nil || v > s.bestV[k] {
-			s.best[k] = p.Clone()
-			s.bestV[k] = v
-			updates++
+	// ⟨p,u⟩ ≤ ‖p‖‖u‖; the factor keeps that true of the rounded values,
+	// and the slack of products that underflow. Below the floor, p can
+	// replace no champion, so skipping it changes nothing.
+	if norm(p)*s.uMax*(1+1e-12)+0x1p-1000 >= s.floor {
+		for k, u := range s.dirs {
+			v := geom.Dot(p, u)
+			if s.best[k] == nil || v > s.bestV[k] {
+				s.best[k] = p.Clone()
+				s.bestV[k] = v
+				updates++
+			}
+		}
+		if updates > 0 {
+			s.version++
+			s.floor = slices.Min(s.bestV) // the scan filled every slot
 		}
 	}
 	s.n++
@@ -110,6 +135,40 @@ func (s *Summary) Feed(p geom.Vector) error {
 		mChampionUpdates.Add(uint64(updates))
 	}
 	return nil
+}
+
+// resetFloor derives uMax and the floor from the direction net and the
+// champion slots.
+func (s *Summary) resetFloor() {
+	s.uMax = 0
+	for _, u := range s.dirs {
+		s.uMax = max(s.uMax, u.Norm())
+	}
+	s.floor = slices.Min(s.bestV)
+	if slices.ContainsFunc(s.best, func(p geom.Vector) bool { return p == nil }) {
+		s.floor = math.Inf(-1)
+	}
+	s.floorOK = true
+}
+
+// norm returns ‖p‖ without squaring the raw coordinates, which loses
+// precision below about 1e-154 and reads 0 below about 1e-162: it
+// scales by the largest |coordinate| first. An overflow to +Inf only
+// turns Feed's skip off.
+func norm(p geom.Vector) float64 {
+	var m float64
+	for _, v := range p {
+		m = max(m, math.Abs(v))
+	}
+	if m == 0 {
+		return 0
+	}
+	var sq float64
+	for _, v := range p {
+		r := v / m
+		sq += r * r
+	}
+	return m * math.Sqrt(sq)
 }
 
 // Add consumes one pre-validated stream point; it panics on input Feed
@@ -184,6 +243,7 @@ func (s *Summary) Merge(other *Summary) error {
 			return fmt.Errorf("%w: direction sets diverge at slot %d", ErrIncompatible, k)
 		}
 	}
+	changed := false
 	for k := range s.dirs {
 		if other.best[k] == nil {
 			continue
@@ -191,11 +251,21 @@ func (s *Summary) Merge(other *Summary) error {
 		if s.best[k] == nil || other.bestV[k] > s.bestV[k] {
 			s.best[k] = other.best[k].Clone()
 			s.bestV[k] = other.bestV[k]
+			changed = true
 		}
+	}
+	if changed {
+		s.version++
+		s.floorOK = false
 	}
 	s.n += other.n
 	return nil
 }
+
+// Version counts the Feed and Merge calls that changed a champion slot.
+// It only grows, so a summary whose version has not moved holds the same
+// champions, bit for bit. It is not part of the State.
+func (s *Summary) Version() uint64 { return s.version }
 
 // Omega returns the summary's maximum inner product for u — the
 // approximate ω(P,u) served from the summary alone.

@@ -80,7 +80,11 @@ go test -count=1 -run 'TestTrace|TestServiceStatsCheckpointLag' .
 
 # Build cache: singleflight dedup and leader-cancellation handoff under
 # the race detector, bitwise identity of cached results, the FixedSize
-# bracket shrink, sweep consistency, and serve-layer invalidation.
+# bracket shrink, sweep consistency, and the serve cache's champion-
+# version key: batches of already-seen and interior points keep the hit
+# (with the checkpoint provenance of now), a new champion misses, and
+# every answer, hit or rebuild, is bitwise what an uncached service
+# returns for the same stream, on one and on two ingest workers.
 echo "== build cache (singleflight, handoff, bitwise identity)"
 GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestBuildCache|TestResultCache|TestWithBuildCache|TestFixedSizeBracket|TestCoresetSweep|TestServeCoreset|TestServeBuildCache|TestQuantizeEps' .
@@ -155,15 +159,24 @@ GOMAXPROCS=4 go test -race -count=1 \
 # (the interior screen must leave every index and its order unchanged)
 # with the brute-force reference and the screen's yield stop: the scan
 # is sequential, and the race detector makes its 20k-point inputs ~15x
-# slower. Last, plain as well, OptMC against Algorithm 1's overlap-graph
+# slower. Then, plain as well, OptMC against Algorithm 1's overlap-graph
 # reference (one input above 600 candidates) and its pinned size table
-# on clouds of up to 100k points.
-echo "== raw speed (warm-start determinism, gauge oracle reference, SCMC cuts, alloc gates, build and hull pins, d >= 4 Auto policy, OptMC reference and sizes)"
+# on clouds of up to 100k points. Last, plain too, the stream sketch's
+# champion floor against a brute-force per-direction argmax (slot
+# values, champions and update counts bit for bit in d 2-6, at scales
+# from 1e-318 to 1e300, after Merge and FromState too) and the
+# served-path pins:
+# a WAL-backed registry tenant's merged summary, update count and
+# served coresets after fixed ingest scripts in d 3-5, on one and on two
+# ingest workers, and the same summary after a Kill, restore and log
+# replay.
+echo "== raw speed (warm-start determinism, gauge oracle reference, SCMC cuts, alloc gates, build, hull and served-path pins, d >= 4 Auto policy, OptMC reference and sizes, stream floor reference)"
 GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestWarmStartWorkerMatrix|TestGaugeOracleMatchesReference|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/
 go test -count=1 -run 'TestSolverAllocsSteadyState|TestEdgeLPAllocs|TestLossOracleAllocs' ./internal/lp/ ./internal/core/
-go test -count=1 -run 'TestBuildOutputsPinned|TestAutoDominanceGraphOnlyInD3|TestAutoSCMCNoLargerThanDSMCHighD|TestFaultAutoSCMCRetriesWithoutDSMC' .
+go test -count=1 -run 'TestBuildOutputsPinned|TestAutoDominanceGraphOnlyInD3|TestAutoSCMCNoLargerThanDSMCHighD|TestFaultAutoSCMCRetriesWithoutDSMC|TestServedPathPinned' .
 go test -count=1 -run 'TestExtremePointsPinned|TestExtremePointsMatchBrute|TestScreenYield' ./internal/hull/
 go test -count=1 -run 'TestOptMCMatchesAlgorithm1|TestOptMCSizesPinned' ./internal/core/
+go test -count=1 -run 'TestFeedFloorMatchesBrute|TestVersionTracksChampionChanges' ./internal/stream/
 
 echo "verify: OK"

@@ -237,10 +237,11 @@ type ServeOptions struct {
 	// BuildWorkers is the Options.Workers value for served builds
 	// (0 = GOMAXPROCS).
 	BuildWorkers int
-	// BuildCache bounds the cache of served coresets, keyed by (stream
-	// position, quantized ε, algorithm) — advancing the stream changes
-	// the position, so ingest invalidates every cached result
-	// automatically. Concurrent identical requests share one underlying
+	// BuildCache bounds the cache of served coresets, keyed by (champion
+	// version, quantized ε, algorithm). The version moves only when an
+	// ingested point changes a champion, so a change of champion
+	// invalidates every cached result, and a batch that changes none
+	// keeps them. Concurrent identical requests share one underlying
 	// build via singleflight. 0 selects the default capacity (32
 	// entries); negative disables caching.
 	BuildCache int
@@ -546,15 +547,16 @@ type IngestService struct {
 	cacheHits, cacheMisses      atomic.Int64
 	lastErr                     atomic.Pointer[errBox]
 
-	// served caches built coresets keyed by (stream position, quantized
-	// ε, algorithm); nil when disabled. Ingest advances the stream
-	// position, so every cached entry is invalidated automatically.
+	// served caches built coresets keyed by (champion version, quantized
+	// ε, algorithm); nil when disabled. A change of champion advances the
+	// version, so it invalidates every cached entry; ingest that changes
+	// none keeps them.
 	served *resultCache[serveKey]
 
 	// stale retains the last certified build per (quantized ε, algorithm)
 	// for degraded-mode serving — unlike the serve cache its key carries
-	// no stream position, so ingest does not invalidate it; the policy's
-	// bounds do. nil without a StaleServePolicy.
+	// no champion version, so a change of champion does not invalidate
+	// it; the policy's bounds do. nil without a StaleServePolicy.
 	staleMu     sync.Mutex
 	stale       map[staleKey]*staleEntry
 	staleServed atomic.Int64
@@ -1073,13 +1075,23 @@ func (s *IngestService) Summary() (*StreamSummary, error) {
 // StreamN returns the total stream position: points restored from the
 // snapshot plus points ingested since.
 func (s *IngestService) StreamN() int {
-	n := s.restoredN
+	n, _ := s.streamPosition()
+	return n
+}
+
+// streamPosition returns StreamN and the champion version, the sum of
+// the shards' summary versions. Each shard's version only grows, so an
+// unchanged sum means no shard changed a champion; base is read-only
+// after restore.
+func (s *IngestService) streamPosition() (n int, version uint64) {
+	n = s.restoredN
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		n += sh.sum.N()
+		version += sh.sum.Version()
 		sh.mu.Unlock()
 	}
-	return n
+	return n, version
 }
 
 // RestoredPoints returns the stream position recovered at startup — the
@@ -1246,11 +1258,14 @@ const defaultServeCacheSize = 32
 // compounding and operators should be paged.
 const degradedCheckpointFailures = 3
 
-// serveKey identifies one served build: the stream position the request
-// saw (ingest advances it, invalidating older entries), the quantized ε,
-// and the algorithm.
+// serveKey identifies one served build: the champion version the
+// request saw (a change of champion advances it, invalidating older
+// entries), the quantized ε, and the algorithm. A served build is a pure
+// function of the merged champions — Coreset returns them in slot order
+// and New runs on a fixed seed — so a hit returns bitwise what a rebuild
+// would.
 type serveKey struct {
-	streamN int
+	version uint64
 	qeps    int64
 	algo    Algorithm
 }
@@ -1265,8 +1280,9 @@ type serveKey struct {
 // the scheduler sees it.
 //
 // Unless disabled with ServeOptions.BuildCache, results are cached per
-// (stream position, quantized ε, algorithm) and concurrent identical
-// requests share one underlying build; cached results (marked
+// (champion version, quantized ε, algorithm) — a change of champion
+// invalidates them, ingest that changes none does not — and concurrent
+// identical requests share one underlying build; cached results (marked
 // Report.CacheHit, with fresh checkpoint provenance) bypass admission
 // control entirely — only the single underlying build takes a scheduler
 // slot.
@@ -1305,7 +1321,8 @@ func (s *IngestService) coresetFresh(ctx context.Context, eps float64, algo Algo
 	if s.served == nil {
 		return s.buildServed(ctx, eps, algo)
 	}
-	key := serveKey{streamN: s.StreamN(), qeps: quantizeEps(eps), algo: algo}
+	n, version := s.streamPosition()
+	key := serveKey{version: version, qeps: quantizeEps(eps), algo: algo}
 	q, hit, err := s.served.do(ctx, key, func(ctx context.Context) (*Coreset, error) {
 		return s.buildServed(ctx, eps, algo)
 	})
@@ -1314,7 +1331,7 @@ func (s *IngestService) coresetFresh(ctx context.Context, eps float64, algo Algo
 		if q != nil && q.Report != nil {
 			// The cached snapshot's provenance was dropped; a hit gets the
 			// provenance of now, which is what the caller observes.
-			q.Report.Checkpoint = s.checkpointMeta(key.streamN)
+			q.Report.Checkpoint = s.checkpointMeta(n)
 		}
 	} else {
 		s.cacheMisses.Add(1)
@@ -1452,11 +1469,16 @@ func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algor
 	if s.buildHook != nil {
 		s.buildHook(ctx)
 	}
+	mspan := bspan.StartChild("summary-merge")
+	mspan.SetAttr("directions", strconv.Itoa(s.opts.Directions))
 	sum, err := s.mergedSummary()
 	if err != nil {
+		mspan.End()
 		return nil, err
 	}
 	champs := sum.Coreset()
+	mspan.SetAttr("champions", strconv.Itoa(len(champs)))
+	mspan.End()
 	if len(champs) == 0 {
 		return nil, fmt.Errorf("%w: no points ingested yet", ErrEmptyInput)
 	}

@@ -29,7 +29,8 @@ var (
 
 // StreamSummary is a one-pass, mergeable coreset summary for maxima
 // representation: feed points in any order with Add (each point is seen
-// once, O(m·d) work, O(m) memory for m directions), merge summaries of
+// once, O(m) memory for m directions; O(m·d) work while a point can still
+// beat a champion, O(d) once the stream settles), merge summaries of
 // substreams with Merge, and read the coreset with Coreset.
 //
 // Unlike the batch algorithms, the summary cannot pre-normalize the
@@ -78,12 +79,13 @@ func (ss *StreamSummary) N() int { return ss.s.N() }
 // Size returns the current coreset size.
 func (ss *StreamSummary) Size() int { return ss.s.Size() }
 
-// Coreset returns the current coreset points.
+// Coreset returns copies of the current coreset points: changing them
+// leaves the summary untouched.
 func (ss *StreamSummary) Coreset() []Point {
 	q := ss.s.Coreset()
 	out := make([]Point, len(q))
 	for i, p := range q {
-		out[i] = Point(p)
+		out[i] = Point(p.Clone())
 	}
 	return out
 }

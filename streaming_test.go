@@ -185,3 +185,35 @@ func TestStreamSummarySnapshotRoundTrip(t *testing.T) {
 		t.Fatal("corrupt snapshot should fail to decode")
 	}
 }
+
+// TestStreamSummaryCoresetReturnsCopies checks that the points Coreset
+// hands out are the caller's: writing to them changes neither the
+// summary's Omega nor its snapshot bytes.
+func TestStreamSummaryCoresetReturnsCopies(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ss := NewStreamSummary(2, 0.1, 0.5, 13)
+	for i := 0; i < 500; i++ {
+		ss.Add(Point{rng.NormFloat64(), rng.NormFloat64()})
+	}
+	snap := func() []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := ss.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	u := Point{1, 0}
+	omega, before := ss.Omega(u), snap()
+	for _, p := range ss.Coreset() {
+		for j := range p {
+			p[j] = 1000
+		}
+	}
+	if got := ss.Omega(u); got != omega {
+		t.Fatalf("Omega moved from %v to %v after the caller wrote to Coreset's points", omega, got)
+	}
+	if !bytes.Equal(snap(), before) {
+		t.Fatal("snapshot bytes changed after the caller wrote to Coreset's points")
+	}
+}

@@ -144,9 +144,22 @@ func TestTraceStaleServePropagation(t *testing.T) {
 		t.Errorf("stale-serve reason attr = %q, want uncertified", got)
 	}
 	// The solver's own build trace is grafted under the request's build
-	// span, so a single ID reaches from the front door to the certifier.
-	if len(build.Children) == 0 {
+	// span, next to the summary merge it ran on, so a single ID reaches
+	// from the front door to the certifier.
+	var solver, merge *obs.Span
+	for _, c := range build.Children {
+		switch c.Name {
+		case "build":
+			solver = c
+		case "summary-merge":
+			merge = c
+		}
+	}
+	if solver == nil {
 		t.Errorf("build span has no attached solver trace:\n%s", tr)
+	}
+	if merge == nil || merge.Attrs["directions"] == "" || merge.Attrs["champions"] == "" {
+		t.Errorf("build span has no summary-merge child with directions and champions attrs:\n%s", tr)
 	}
 	if rt.ID != "trace-stale-1" {
 		t.Errorf("trace ID mutated to %q", rt.ID)
