@@ -3,12 +3,14 @@ package mincore
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mincore/internal/obs"
 )
 
 // samePointsBitwise compares two coresets field by field, down to the
@@ -525,63 +527,118 @@ func TestServeCoresetCacheHitAndIngestInvalidation(t *testing.T) {
 // TestServeCoresetCacheHitMatchesUncached feeds one stream to a cached
 // service and to an uncached one (BuildCache -1) and reads both after
 // every batch: each answer, hit or rebuild, must be bitwise the same,
-// and the cached service must hit exactly when the champion version — on
-// two ingest workers, the sum over the shards — has not moved.
+// and the cached service must hit exactly when the champion version has
+// not moved. Both services then restart twice: from a Kill, through the
+// checkpoint and the log replayed past it, and from a Close, through the
+// final snapshot. After each restart the first read rebuilds, and then
+// every read after a batch of points the stream saw before the restart
+// must hit, with no champion update.
 func TestServeCoresetCacheHitMatchesUncached(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cached := newTestService(t, ServeOptions{Dim: 2, Seed: 5, IngestWorkers: workers})
-			defer cached.Close()
-			plain := newTestService(t, ServeOptions{Dim: 2, Seed: 5, BuildCache: -1})
-			defer plain.Close()
+	if !obs.On() {
+		obs.Enable()
+		defer obs.Disable()
+	}
+	t.Run("workers=1", func(t *testing.T) {
+		paths := [2]string{filepath.Join(t.TempDir(), "stream.snap"), filepath.Join(t.TempDir(), "stream.snap")}
+		var cached, plain *IngestService
+		start := func() {
+			t.Helper()
+			cached = newTestService(t, ServeOptions{Dim: 2, Seed: 5, SnapshotPath: paths[0]})
+			plain = newTestService(t, ServeOptions{Dim: 2, Seed: 5, SnapshotPath: paths[1], BuildCache: -1})
+		}
+		start()
+		t.Cleanup(func() { cached.Kill(); plain.Kill() })
 
-			pts := randomPoints(600, 2, 37)
-			batches := [][]Point{pts[:300]}
-			for i := 0; i < 300; i += 50 {
-				batches = append(batches, pts[i:i+50]) // already seen
+		n := 0
+		feed := func(b []Point) {
+			t.Helper()
+			for _, svc := range []*IngestService{cached, plain} {
+				if err := svc.Feed(b...); err != nil {
+					t.Fatal(err)
+				}
+				drain(t, svc, int64(n+len(b)-svc.RestoredPoints()))
 			}
-			batches = append(batches, pts[300:350], pts[:100], pts[350:600], pts[100:300])
-			n, prev, hits := 0, uint64(0), 0
-			for i, b := range batches {
+			n += len(b)
+		}
+		read := func() *Coreset {
+			t.Helper()
+			got, err := cached.Coreset(context.Background(), 0.1, Auto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.Coreset(context.Background(), 0.1, Auto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePointsBitwise(t, want, got)
+			return got
+		}
+
+		pts := randomPoints(600, 2, 37)
+		batches := [][]Point{pts[:300]}
+		for i := 0; i < 300; i += 50 {
+			batches = append(batches, pts[i:i+50]) // already seen
+		}
+		batches = append(batches, pts[300:350], pts[:100], pts[350:600], pts[100:300])
+		prev, hits := uint64(0), 0
+		for i, b := range batches {
+			feed(b)
+			_, version := cached.streamPosition()
+			got := read()
+			if hit := i > 0 && version == prev; got.Report.CacheHit != hit {
+				t.Fatalf("batch %d: CacheHit %v at version %d after %d", i, got.Report.CacheHit, version, prev)
+			}
+			if got.Report.CacheHit {
+				hits++
+			}
+			prev = version
+			if i == 7 {
+				// The Kill restart restores this checkpoint and replays
+				// the batches after it from the log.
 				for _, svc := range []*IngestService{cached, plain} {
-					if err := svc.Feed(b...); err != nil {
+					if err := svc.Checkpoint(); err != nil {
 						t.Fatal(err)
 					}
-					drain(t, svc, int64(n+len(b)))
 				}
-				n += len(b)
-				_, version := cached.streamPosition()
-				var sum uint64
-				for _, sh := range cached.shards {
-					sum += sh.sum.Version()
-				}
-				if version != sum {
-					t.Fatalf("batch %d: version %d, shards sum to %d", i, version, sum)
-				}
-				got, err := cached.Coreset(context.Background(), 0.1, Auto)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := plain.Coreset(context.Background(), 0.1, Auto)
-				if err != nil {
-					t.Fatal(err)
-				}
-				samePointsBitwise(t, want, got)
-				if hit := i > 0 && version == prev; got.Report.CacheHit != hit {
-					t.Fatalf("batch %d: CacheHit %v at version %d after %d", i, got.Report.CacheHit, version, prev)
-				}
-				if got.Report.CacheHit {
-					hits++
-				}
-				prev = version
 			}
-			// On two workers a batch a shard has not seen may change that
-			// shard's champions, so only one worker fixes the hit count.
-			if workers == 1 && (hits == 0 || hits == len(batches)-1) {
-				t.Fatalf("%d hits over %d reads: the stream must both keep and change champions", hits, len(batches))
+		}
+		if hits == 0 || hits == len(batches)-1 {
+			t.Fatalf("%d hits over %d reads: the stream must both keep and change champions", hits, len(batches))
+		}
+
+		for _, stop := range []struct {
+			name string
+			stop func(*IngestService) error
+		}{
+			{"kill", func(s *IngestService) error { s.Kill(); return nil }},
+			{"close", (*IngestService).Close},
+		} {
+			for _, svc := range []*IngestService{cached, plain} {
+				if err := stop.stop(svc); err != nil {
+					t.Fatalf("%s: %v", stop.name, err)
+				}
 			}
-		})
-	}
+			start()
+			for _, svc := range []*IngestService{cached, plain} {
+				if r, sn := svc.RestoredPoints(), svc.StreamN(); r != n || sn != n {
+					t.Fatalf("after %s: RestoredPoints %d, StreamN %d, want %d", stop.name, r, sn, n)
+				}
+			}
+			if read().Report.CacheHit {
+				t.Fatalf("after %s: the first read hit an empty cache", stop.name)
+			}
+			before := championUpdates()
+			for i := 0; i < 10; i++ {
+				feed(pts[50*i : 50*i+50])
+				if !read().Report.CacheHit {
+					t.Fatalf("after %s: batch %d of already-seen points missed the cache", stop.name, i)
+				}
+				if d := championUpdates() - before; d != 0 {
+					t.Fatalf("after %s: batch %d of already-seen points made %v champion updates", stop.name, i, d)
+				}
+			}
+		}
+	})
 }
 
 func TestServeBuildCacheDisabled(t *testing.T) {

@@ -38,8 +38,8 @@ const chaosEps = 0.05
 
 // chaosPoisonX marks a sacrificial duplicate point the panic hook blows
 // up on. Poison points are near the origin, strictly inside the ring
-// hull, so whether or not one lands in a shard before the panic fires,
-// it can never become a champion — the summary stays exact.
+// hull, so whether or not one reaches the summary before the panic
+// fires, it can never become a champion — the summary stays exact.
 const chaosPoisonX = 1.0 / (1 << 20)
 
 func chaosOptions(path string) ServeOptions {
@@ -47,7 +47,6 @@ func chaosOptions(path string) ServeOptions {
 		Dim: 2, Eps: chaosEps, Seed: 7, // stream params fixed across restarts
 		SnapshotPath:       path,
 		CheckpointInterval: -1, // checkpoints driven by the chaos schedule
-		IngestWorkers:      2,
 		QueueSize:          64,
 	}
 }

@@ -33,15 +33,12 @@ import (
 )
 
 // walChaosOptions is chaosOptions with a per-batch-synced WAL that
-// rotates often. A single ingest worker keeps batch application order
-// deterministic so the byte-identity assertion is exact, not just
-// champion-equivalent.
+// rotates often.
 func walChaosOptions(dir string) ServeOptions {
 	return ServeOptions{
 		Dim: 2, Eps: chaosEps, Seed: 7,
 		SnapshotPath:       filepath.Join(dir, "stream.snap"),
 		CheckpointInterval: -1,
-		IngestWorkers:      1,
 		QueueSize:          64,
 		WAL: &WALConfig{
 			Sync:         WALSyncEveryBatch,
@@ -50,17 +47,16 @@ func walChaosOptions(dir string) ServeOptions {
 	}
 }
 
-// walSummaryBytes encodes the service's merged summary with a fixed
-// meta, so two services with identical stream state produce identical
-// bytes.
+// walSummaryBytes encodes the service's summary with a fixed meta, so
+// two services with identical stream state produce identical bytes.
 func walSummaryBytes(t *testing.T, svc *IngestService) []byte {
 	t.Helper()
-	sum, err := svc.mergedSummary()
+	sum, err := svc.Summary()
 	if err != nil {
-		t.Fatalf("merged summary: %v", err)
+		t.Fatalf("summary: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := snapshot.Encode(&buf, sum, snapshot.Meta{}); err != nil {
+	if err := snapshot.Encode(&buf, sum.s, snapshot.Meta{}); err != nil {
 		t.Fatalf("encode summary: %v", err)
 	}
 	return buf.Bytes()
@@ -73,7 +69,6 @@ func walReferenceBytes(t *testing.T, pts []Point, n int) []byte {
 	ref, err := NewIngestService(ServeOptions{
 		Dim: 2, Eps: chaosEps, Seed: 7,
 		CheckpointInterval: -1,
-		IngestWorkers:      1,
 		QueueSize:          64,
 	})
 	if err != nil {
@@ -337,12 +332,12 @@ func TestServeWALUpgradeFromSnapshotOnly(t *testing.T) {
 		t.Fatalf("feed: %v", err)
 	}
 	drainChaos(t, oldSvc, n)
-	sum, err := oldSvc.mergedSummary()
+	sum, err := oldSvc.Summary()
 	oldSvc.Kill()
 	if err != nil {
-		t.Fatalf("merged summary: %v", err)
+		t.Fatalf("summary: %v", err)
 	}
-	if _, err := snapshot.NewStore(opts.SnapshotPath).Save(sum); err != nil {
+	if _, err := snapshot.NewStore(opts.SnapshotPath).Save(sum.s); err != nil {
 		t.Fatalf("save generation: %v", err)
 	}
 	if _, err := os.Stat(WALDir(opts.SnapshotPath)); !errors.Is(err, os.ErrNotExist) {
@@ -355,6 +350,9 @@ func TestServeWALUpgradeFromSnapshotOnly(t *testing.T) {
 	}
 	if got := svc.RestoredPoints(); got != n {
 		t.Fatalf("restored position %d, want the generation's %d", got, n)
+	}
+	if got := svc.StreamN(); got != n {
+		t.Fatalf("StreamN %d after a snapshot without a log, want %d", got, n)
 	}
 	if svc.wal == nil {
 		t.Fatal("no write-ahead log opened under the snapshot path")
@@ -652,29 +650,29 @@ func TestTenantWALRecoveryLadder(t *testing.T) {
 	if got := tnt.Service().ReplayedPoints(); got != 600 {
 		t.Fatalf("dead-snapshot replayed %d points, want 600", got)
 	}
-}
-
-// TestServeWALCheckpointIsLogPrefix pins the position a checkpoint
-// records. With several ingest workers, batches finish out of log
-// order, so a generation saved at position n is sound only if it holds
-// every point of the log prefix [0, n): restoring it and replaying the
-// log from n must reproduce an uninterrupted run. Single-point feeds
-// race Checkpoint to make the reordering frequent; each generation is
-// checked as if the service crashed right after saving it, and a final
-// Kill checks the real restore path.
-func TestServeWALCheckpointIsLogPrefix(t *testing.T) {
-	for _, workers := range []int{2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			for run := int64(0); run < 20; run++ {
-				checkpointPrefixRun(t, workers, run)
-			}
-		})
+	if got := tnt.Service().StreamN(); got != 600 {
+		t.Fatalf("dead-snapshot StreamN %d after the log alone, want 600", got)
 	}
 }
 
-func checkpointPrefixRun(t *testing.T, workers int, run int64) {
+// TestServeWALCheckpointIsLogPrefix pins the position a checkpoint
+// records. The log runs ahead of the summary — a batch is appended
+// before the ingest worker applies it — so a generation saved at
+// position n is sound only if it holds every point of the log prefix
+// [0, n): restoring it and replaying the log from n must reproduce an
+// uninterrupted run. n is therefore the end of the last batch the
+// worker finished, not of the last one enqueued. Single-point feeds race
+// Checkpoint to keep batches in flight; each generation is checked as
+// if the service crashed right after saving it, and a final Kill checks
+// the real restore path.
+func TestServeWALCheckpointIsLogPrefix(t *testing.T) {
+	for run := int64(0); run < 20; run++ {
+		checkpointPrefixRun(t, run)
+	}
+}
+
+func checkpointPrefixRun(t *testing.T, run int64) {
 	opts := walChaosOptions(t.TempDir())
-	opts.IngestWorkers = workers
 	opts.WAL = &WALConfig{Sync: WALSyncOff} // a fast feeder races harder
 	// Point i lies on direction i mod m of the net, a little farther out
 	// than every point before it, so it is that direction's champion

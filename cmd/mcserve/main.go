@@ -112,7 +112,6 @@ func main() {
 	snapshotDir := flag.String("snapshot-dir", "", "root directory for per-tenant snapshots and manifests (empty = no durability)")
 	snapshotPath := flag.String("snapshot", "", "single-file snapshot path for the default tenant (migration aid)")
 	ckptEvery := flag.Duration("checkpoint-every", 10*time.Second, "base interval between automatic checkpoints")
-	workers := flag.Int("ingest-workers", 2, "ingest worker goroutines per tenant (one summary shard each)")
 	queue := flag.Int("queue", 256, "per-tenant ingest queue capacity in batches (full queue sheds with 503)")
 	inflight := flag.Int("max-inflight-builds", 2, "concurrent coreset builds across ALL tenants (fair-share scheduled)")
 	maxQueued := flag.Int("max-queued-builds", 16, "pending builds per tenant before shedding with 503")
@@ -168,8 +167,7 @@ func main() {
 		SnapshotDir:        *snapshotDir,
 		CheckpointInterval: *ckptEvery,
 		MaxInflightBuilds:  *inflight, MaxQueuedBuilds: *maxQueued,
-		BuildWorkers:  *buildWorkers,
-		IngestWorkers: *workers, QueueSize: *queue,
+		BuildWorkers: *buildWorkers, QueueSize: *queue,
 		BuildCache:  *buildCache,
 		Logger:      logger,
 		BuildBudget: *watchdog,
@@ -387,7 +385,6 @@ type createTenantRequest struct {
 	Weight            float64 `json:"weight"`
 	QuotaPointsPerSec float64 `json:"quota_points_per_sec"`
 	QuotaBurst        int     `json:"quota_burst"`
-	IngestWorkers     int     `json:"ingest_workers"`
 	QueueSize         int     `json:"queue_size"`
 	BuildCache        int     `json:"build_cache"`
 }
@@ -419,8 +416,7 @@ func (a *apiServer) createTenant(w http.ResponseWriter, r *http.Request) {
 		ID: req.ID, Dim: req.Dim, Eps: req.Eps, Alpha: req.Alpha,
 		Directions: req.Directions, Seed: req.Seed, Weight: req.Weight,
 		QuotaPointsPerSec: req.QuotaPointsPerSec, QuotaBurst: req.QuotaBurst,
-		IngestWorkers: req.IngestWorkers, QueueSize: req.QueueSize,
-		BuildCache: req.BuildCache,
+		QueueSize: req.QueueSize, BuildCache: req.BuildCache,
 	})
 	if err != nil {
 		httpError(w, err)

@@ -98,7 +98,8 @@ func wantEnvelope(t *testing.T, resp *http.Response, body map[string]any, status
 
 // TestTenantLifecycleHTTP walks one tenant through its whole life over
 // the v1 API: create → ingest → coreset → snapshot → delete → 404, and
-// checks deletion removes the tenant's on-disk footprint.
+// checks deletion removes the tenant's on-disk footprint. A create body
+// with a key the server no longer reads still creates.
 func TestTenantLifecycleHTTP(t *testing.T) {
 	dir := t.TempDir()
 	ts, _ := newTestServer(t, mincore.RegistryOptions{
@@ -157,6 +158,14 @@ func TestTenantLifecycleHTTP(t *testing.T) {
 	}
 	resp, body = doJSON(t, ts, "GET", "/v1/tenants/acme/stats", nil)
 	wantEnvelope(t, resp, body, http.StatusNotFound, "tenant_not_found")
+
+	// Clients of older servers sent a per-tenant worker count; the key
+	// is ignored.
+	resp, body = doJSON(t, ts, "POST", "/v1/tenants",
+		map[string]any{"id": "legacy", "ingest_workers": 2})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create with a worker count: status %d, body %v", resp.StatusCode, body)
+	}
 }
 
 // TestTenantErrorEnvelope exercises the documented error-code set and

@@ -106,7 +106,7 @@ func newServiceMetrics(tenant string) serviceMetrics {
 		ingestBatches: obs.Default.Counter("mincore_ingest_batches_total",
 			"Batches accepted into the ingest queue.", l),
 		ingestPoints: obs.Default.Counter("mincore_ingest_points_total",
-			"Points applied to a summary shard.", l),
+			"Points applied to the stream summary.", l),
 		ingestShed: obs.Default.Counter("mincore_ingest_shed_points_total",
 			"Points shed because the ingest queue was full.", l),
 		ingestInvalid: obs.Default.Counter("mincore_ingest_invalid_points_total",

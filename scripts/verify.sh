@@ -59,10 +59,11 @@ go test -race -count=1 -run 'TestChaosKillRestoreMatrix' .
 # per-batch sync no acknowledged point is ever lost across randomized
 # kills (mid-append, post-append-pre-ack, post-ack, post-compaction) and
 # the recovered summary is byte-identical to an uninterrupted run; a
-# checkpoint racing several ingest workers saves a true log prefix; a
-# snapshot-only directory upgrades onto a fresh log; a failing log
-# refuses ingest with ErrStorageUnavailable instead of acking; graceful
-# shutdown checkpoints and syncs every tenant.
+# checkpoint racing the ingest worker saves a true log prefix (the end
+# of the last batch it finished); a snapshot-only directory upgrades
+# onto a fresh log; a failing log refuses ingest with
+# ErrStorageUnavailable instead of acking; graceful shutdown
+# checkpoints and syncs every tenant.
 echo "== write-ahead log (crash points, zero acked-point loss)"
 go test -race -count=1 ./internal/wal/
 GOMAXPROCS=4 go test -race -count=1 \
@@ -84,7 +85,9 @@ go test -count=1 -run 'TestTrace|TestServiceStatsCheckpointLag' .
 # version key: batches of already-seen and interior points keep the hit
 # (with the checkpoint provenance of now), a new champion misses, and
 # every answer, hit or rebuild, is bitwise what an uncached service
-# returns for the same stream, on one and on two ingest workers.
+# returns for the same stream; after a restart, from a Kill through the
+# log replay and from a Close through the final snapshot, batches of
+# points seen before it keep hitting with no champion update.
 echo "== build cache (singleflight, handoff, bitwise identity)"
 GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestBuildCache|TestResultCache|TestWithBuildCache|TestFixedSizeBracket|TestCoresetSweep|TestServeCoreset|TestServeBuildCache|TestQuantizeEps' .
@@ -165,11 +168,10 @@ GOMAXPROCS=4 go test -race -count=1 \
 # champion floor against a brute-force per-direction argmax (slot
 # values, champions and update counts bit for bit in d 2-6, at scales
 # from 1e-318 to 1e300, after Merge and FromState too) and the
-# served-path pins:
-# a WAL-backed registry tenant's merged summary, update count and
-# served coresets after fixed ingest scripts in d 3-5, on one and on two
-# ingest workers, and the same summary after a Kill, restore and log
-# replay.
+# served-path pins: a WAL-backed registry tenant's summary, update
+# count and served coresets after fixed ingest scripts in d 3-5 and a
+# d-3 script of exact ties between distinct points, and the same
+# summary after a Kill, restore and log replay.
 echo "== raw speed (warm-start determinism, gauge oracle reference, SCMC cuts, alloc gates, build, hull and served-path pins, d >= 4 Auto policy, OptMC reference and sizes, stream floor reference)"
 GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestDGWarmMatchesBaselineBitwise|TestSolverWarm|TestWarmStartWorkerMatrix|TestGaugeOracleMatchesReference|TestMultipliers|TestOwnerLPFarkasCuts|TestSCMC|TestWorkerCountDeterminism$|TestCoresetCtxCancelMidBuild' . ./internal/core/ ./internal/lp/

@@ -21,14 +21,13 @@ import (
 	"mincore/internal/wal"
 )
 
-// The supervised long-running ingest mode. An IngestService owns a
-// sharded streaming summary (one shard per ingest worker — summaries are
-// mergeable, so shards compose exactly at read time), makes it durable
-// through a write-ahead log plus crash-safe snapshots, and serves
-// certified coreset builds from it under admission control. The design
-// goals, in order:
+// The supervised long-running ingest mode. An IngestService owns one
+// streaming summary, fed in log order by one ingest goroutine, makes it
+// durable through a write-ahead log plus crash-safe snapshots, and
+// serves certified coreset builds from it under admission control. The
+// design goals, in order:
 //
-//   - never die: worker panics are converted into typed ErrWorkerPanic
+//   - never die: ingest panics are converted into typed ErrWorkerPanic
 //     values and counted; the service degrades (that batch is lost until
 //     replayed) but keeps ingesting,
 //   - never lose an acknowledged point: with a SnapshotPath, Feed
@@ -52,9 +51,10 @@ var (
 	// scheduler's queue is full. The caller should back off and retry;
 	// nothing was ingested or built.
 	ErrOverloaded = errors.New("mincore: service overloaded")
-	// ErrWorkerPanic marks a panic recovered inside an ingest worker
-	// (wrapped by *WorkerPanicError). The service stays alive; the batch
-	// being ingested when the panic fired may be partially applied.
+	// ErrWorkerPanic marks a panic recovered inside the ingest worker or
+	// the checkpoint loop (wrapped by *WorkerPanicError). The service
+	// stays alive; the batch being ingested when the panic fired may be
+	// partially applied.
 	ErrWorkerPanic = errors.New("mincore: ingest worker panicked")
 	// ErrServiceClosed is returned by every operation after Close or
 	// Kill.
@@ -62,8 +62,8 @@ var (
 	// ErrSnapshotIncompatible is returned by NewIngestService when the
 	// restored snapshot was built with different stream parameters
 	// (dimension, direction count, or seed) than the service is
-	// configured for — merging would silently corrupt the sketch, so the
-	// operator must either match the old parameters or move the
+	// configured for — feeding it would silently corrupt the sketch, so
+	// the operator must either match the old parameters or move the
 	// snapshot aside.
 	ErrSnapshotIncompatible = errors.New("mincore: snapshot incompatible with service parameters")
 	// ErrQuotaExceeded is the per-tenant rate-limit shed: the tenant's
@@ -174,10 +174,11 @@ func (c *WALConfig) walPolicy() wal.SyncPolicy {
 	}
 }
 
-// WorkerPanicError carries a panic recovered inside an ingest worker.
-// It unwraps to ErrWorkerPanic.
+// WorkerPanicError carries a panic recovered inside the ingest worker
+// or the checkpoint loop. It unwraps to ErrWorkerPanic.
 type WorkerPanicError struct {
-	// Worker is the index of the panicking worker.
+	// Worker names the panicking goroutine: 0 is the ingest worker, −1
+	// the checkpoint loop.
 	Worker int
 	// Value is the recovered panic value.
 	Value any
@@ -223,11 +224,9 @@ type ServeOptions struct {
 	// CheckpointBackoffMax caps the exponential backoff applied to the
 	// checkpoint period while saves fail (default 16× the interval).
 	CheckpointBackoffMax time.Duration
-	// IngestWorkers is the number of ingest goroutines, each owning one
-	// summary shard (default 1).
-	IngestWorkers int
-	// QueueSize bounds the batch queue feeding the workers; a full
-	// queue sheds with ErrOverloaded (default 256 batches).
+	// QueueSize bounds the batch queue feeding the ingest worker, the
+	// one goroutine that applies batches to the summary in log order; a
+	// full queue sheds with ErrOverloaded (default 256 batches).
 	QueueSize int
 	// MaxInflightBuilds bounds concurrent Coreset builds of a standalone
 	// service (default 2). Excess requests queue, up to 16 deep, and shed
@@ -314,9 +313,6 @@ func (o *ServeOptions) withDefaults() (ServeOptions, error) {
 	if v.CheckpointBackoffMax <= 0 {
 		v.CheckpointBackoffMax = 16 * v.CheckpointInterval
 	}
-	if v.IngestWorkers < 1 {
-		v.IngestWorkers = 1
-	}
 	if v.QueueSize < 1 {
 		v.QueueSize = 256
 	}
@@ -384,9 +380,9 @@ func (tb *tokenBucket) refund(n float64) {
 type ServiceStats struct {
 	// Tenant is the owning tenant id ("" for a standalone service).
 	Tenant string
-	// Ingested counts points applied to a shard; Rejected counts points
-	// shed with ErrOverloaded; Invalid counts points rejected with
-	// ErrInvalidPoint; QuotaShed counts points shed with
+	// Ingested counts points applied to the summary; Rejected counts
+	// points shed with ErrOverloaded; Invalid counts points rejected
+	// with ErrInvalidPoint; QuotaShed counts points shed with
 	// ErrQuotaExceeded.
 	Ingested, Rejected, Invalid, QuotaShed int64
 	// WorkerPanics counts panics recovered by the ingest supervisor.
@@ -445,59 +441,12 @@ type ServiceStats struct {
 	LastError error
 }
 
-// shard is one worker's private summary; the lock serializes the
-// owner's writes with merge-time reads.
-type shard struct {
-	mu  sync.Mutex
-	sum *stream.Summary
-}
-
-// queuedBatch is one admitted batch on its way to a worker. start is
-// its log position: the stream position before its first point (0
+// queuedBatch is one admitted batch on its way to the ingest worker.
+// end is its log position: the stream position after its last point (0
 // without a log).
 type queuedBatch struct {
-	pts   [][]float64
-	start uint64
-}
-
-// watermark tracks the applied-through log position W: every point
-// before W has been applied to a shard. Batches enter the queue in log
-// order but finish in any order across workers — a later batch can be
-// applied while an earlier one waits between its dequeue and its shard
-// lock — so the shards' point count is not a log position; W, the
-// start of the oldest unfinished batch, is.
-type watermark struct {
-	mu       sync.Mutex
-	end      uint64              // log end of the last enqueued batch
-	inflight map[uint64]struct{} // log starts of enqueued, unfinished batches
-}
-
-// add registers a batch covering log positions [start, end). Callers
-// hold walMu and add before the enqueue, so no worker can finish a
-// batch the watermark has not seen.
-func (w *watermark) add(start, end uint64) {
-	w.mu.Lock()
-	w.inflight[start] = struct{}{}
-	w.end = end
-	w.mu.Unlock()
-}
-
-// finish marks the batch starting at start applied.
-func (w *watermark) finish(start uint64) {
-	w.mu.Lock()
-	delete(w.inflight, start)
-	w.mu.Unlock()
-}
-
-// position returns W.
-func (w *watermark) position() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	pos := w.end
-	for start := range w.inflight {
-		pos = min(pos, start)
-	}
-	return pos
+	pts [][]float64
+	end uint64
 }
 
 // IngestService is a supervised, durable, resource-bounded ingest loop
@@ -513,10 +462,14 @@ type IngestService struct {
 	queue chan queuedBatch
 	quota *tokenBucket // nil when no ingest quota is configured
 
-	base      *stream.Summary // restored snapshot, read-only (nil = fresh)
+	// sum is the tenant's one stream summary: the restored snapshot and
+	// the log replayed past it, then every batch the ingest worker
+	// applies. sumMu guards it; readers hold it only to copy N, the
+	// version, the champions or the state.
+	sumMu     sync.Mutex
+	sum       *stream.Summary
 	restoredN int
-	replayedN int // points replayed from the WAL into base at startup
-	shards    []*shard
+	replayedN int             // points replayed from the WAL into sum at startup
 	store     *snapshot.Store // nil when durability is disabled
 
 	// wal is the write-ahead log (nil exactly when store is). walMu
@@ -526,7 +479,13 @@ type IngestService struct {
 	walMu     sync.Mutex
 	wal       *wal.Log
 	walFailed atomic.Bool // last WAL write failed; Feed refuses to ack
-	applied   watermark   // the position checkpoints save at
+	// applied is W, the log position checkpoints save at: the end of the
+	// last batch the worker finished, or the restored position before
+	// the first. The worker takes batches in log order, so every point
+	// before W is in sum. sum.N() is not a log position: a recovered
+	// panic drops the rest of its batch, and a rejected point is not
+	// counted.
+	applied atomic.Uint64
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -600,12 +559,12 @@ type errBox struct{ err error }
 
 // NewIngestService validates opts, restores the newest decodable
 // snapshot generation when SnapshotPath names one (falling back a
-// generation on a torn write) and replays the write-ahead log past it,
-// and starts the ingest workers and the checkpoint loop. A snapshot
-// written with different stream parameters returns
-// ErrSnapshotIncompatible; a present-but-unusable snapshot pair returns
-// the loader's typed error so the operator decides rather than silently
-// starting empty.
+// generation on a torn write) and replays the write-ahead log past it
+// into the service's summary, and starts the ingest worker and the
+// checkpoint loop. A snapshot written with different stream parameters
+// returns ErrSnapshotIncompatible; a present-but-unusable snapshot pair
+// returns the loader's typed error so the operator decides rather than
+// silently starting empty.
 func NewIngestService(opts ServeOptions) (*IngestService, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
@@ -624,6 +583,7 @@ func NewIngestService(opts ServeOptions) (*IngestService, error) {
 		log:   log,
 		met:   newServiceMetrics(o.Tenant),
 		queue: make(chan queuedBatch, o.QueueSize),
+		sum:   stream.NewSummary(o.Directions, o.Dim, o.Seed),
 	}
 	if o.QuotaPointsPerSec > 0 {
 		s.quota = newTokenBucket(o.QuotaPointsPerSec, o.QuotaBurst, o.clock)
@@ -647,17 +607,17 @@ func NewIngestService(opts ServeOptions) (*IngestService, error) {
 		s.store = snapshot.NewStore(o.SnapshotPath)
 		loadSpan := s.restoreRT.StartChild("snapshot-load")
 		sum, meta, err := s.store.Load()
+		restored := err == nil
 		switch {
 		case err == nil:
 			loadSpan.SetAttr("generation", strconv.FormatUint(meta.Generation, 10))
 			loadSpan.SetAttr("points", strconv.Itoa(sum.N()))
-			// The restored summary must merge with live shards: probe
-			// against a fresh summary of the configured parameters.
-			probe := stream.NewSummary(o.Directions, o.Dim, o.Seed)
-			if merr := probe.Merge(sum); merr != nil {
+			// Merging into the fresh summary restores the snapshot in
+			// place, and fails unless its direction net is the
+			// configured one.
+			if merr := s.sum.Merge(sum); merr != nil {
 				return nil, fmt.Errorf("%w: %v", ErrSnapshotIncompatible, merr)
 			}
-			s.base = sum
 			s.restoredN = sum.N()
 			s.ckptMu.Lock()
 			s.lastCkpt = meta
@@ -674,19 +634,14 @@ func NewIngestService(opts ServeOptions) (*IngestService, error) {
 			return nil, err
 		}
 		loadSpan.End()
-		if err := s.openWAL(); err != nil {
+		if err := s.openWAL(restored); err != nil {
 			return nil, err
 		}
 	}
 
-	s.shards = make([]*shard, o.IngestWorkers)
-	for i := range s.shards {
-		s.shards[i] = &shard{sum: stream.NewSummary(o.Directions, o.Dim, o.Seed)}
-	}
-	for i := range s.shards {
-		s.workerWG.Add(1)
-		go s.worker(i)
-	}
+	s.applied.Store(uint64(s.restoredN))
+	s.workerWG.Add(1)
+	go s.worker()
 	if s.store != nil && o.CheckpointInterval > 0 {
 		s.ckptWG.Add(1)
 		go s.checkpointLoop()
@@ -715,12 +670,13 @@ func WALDir(snapshotPath string) string {
 
 // openWAL opens (or creates) the service's write-ahead log, repairs any
 // torn tail, replays records past the restored snapshot position into
-// the base summary, and aligns the log with the restored position (a
+// the summary, and aligns the log with the restored position (a
 // snapshot directory without a log, as a build without the log left it,
-// starts a fresh log there). The restored stream is exactly what was
-// durable: snapshot ∪ replayable log suffix — byte-identical to an
-// uninterrupted run because replay is idempotent by sequence number.
-func (s *IngestService) openWAL() error {
+// starts a fresh log there). restored says a snapshot generation was
+// loaded. The restored stream is exactly what was durable: snapshot ∪
+// replayable log suffix — byte-identical to an uninterrupted run because
+// replay is idempotent by sequence number.
+func (s *IngestService) openWAL(restored bool) error {
 	o := s.opts
 	l, err := wal.Open(wal.Options{
 		Dir:          WALDir(o.SnapshotPath),
@@ -742,13 +698,10 @@ func (s *IngestService) openWAL() error {
 	}
 	afterSeq := uint64(s.restoredN)
 	if l.LastSeq() > afterSeq {
-		if s.base == nil {
-			if l.OldestSeq() > 0 {
-				l.Close()
-				return fmt.Errorf("%w: no snapshot but the log starts at seq %d — points 0..%d are unrecoverable",
-					wal.ErrBadLog, l.OldestSeq(), l.OldestSeq())
-			}
-			s.base = stream.NewSummary(o.Directions, o.Dim, o.Seed)
+		if !restored && l.OldestSeq() > 0 {
+			l.Close()
+			return fmt.Errorf("%w: no snapshot but the log starts at seq %d — points 0..%d are unrecoverable",
+				wal.ErrBadLog, l.OldestSeq(), l.OldestSeq())
 		} else if oldest := l.OldestSeq(); oldest > afterSeq {
 			// The restore landed on a generation older than the log's
 			// oldest record. Checkpoints compact only through the older
@@ -768,7 +721,7 @@ func (s *IngestService) openWAL() error {
 		replaySpan := s.restoreRT.StartChild("wal-replay")
 		delivered, pos, err := l.Replay(afterSeq, func(batch [][]float64) error {
 			for _, p := range batch {
-				if ferr := s.base.Feed(p); ferr != nil {
+				if ferr := s.sum.Feed(p); ferr != nil {
 					return ferr
 				}
 			}
@@ -793,7 +746,6 @@ func (s *IngestService) openWAL() error {
 		return fmt.Errorf("mincore: wal align: %w", err)
 	}
 	s.wal = l
-	s.applied = watermark{end: uint64(s.restoredN), inflight: make(map[uint64]struct{})}
 	s.publishWALStats(l.Stats())
 	return nil
 }
@@ -909,8 +861,7 @@ func (s *IngestService) feedAdmit(ctx context.Context, pts []Point) error {
 			refund()
 			return err
 		}
-		qb.start = end - uint64(n)
-		s.applied.add(qb.start, end)
+		qb.end = end
 	}
 	s.queue <- qb // cannot block: capacity was checked under walMu
 	s.met.ingestBatches.Inc()
@@ -977,10 +928,10 @@ func validatePoint(p Point, d, i int) error {
 	return nil
 }
 
-// worker is one supervised ingest goroutine: it applies batches to its
-// own shard and converts panics into typed, counted errors instead of
-// letting them tear the process down.
-func (s *IngestService) worker(i int) {
+// worker is the supervised ingest goroutine: it applies batches to the
+// summary in queue order, which is log order, and converts panics into
+// typed, counted errors instead of letting them tear the process down.
+func (s *IngestService) worker() {
 	defer s.workerWG.Done()
 	for {
 		select {
@@ -990,49 +941,45 @@ func (s *IngestService) worker(i int) {
 			if !ok {
 				return
 			}
-			s.ingestBatch(i, batch)
+			s.ingestBatch(batch)
 			s.met.queueDepth.Set(int64(len(s.queue)))
 		}
 	}
 }
 
-// ingestBatch applies one batch under the shard lock, recovering any
-// panic into a *WorkerPanicError. The shard summary stays valid after a
-// panic — champion slots are monotone, so a partially applied point can
-// only strengthen the sketch — but the rest of the batch is dropped and
-// should be replayed by the producer. Either way the batch then counts
-// as finished for the watermark, and only after that are its points
-// added to Ingested: once Ingested covers every fed point, a checkpoint
-// is saved at the log's end.
-func (s *IngestService) ingestBatch(i int, batch queuedBatch) {
+// ingestBatch applies one batch under the summary lock, recovering any
+// panic into a *WorkerPanicError. The summary stays valid after a panic
+// — champion slots are monotone, so a partially applied point can only
+// strengthen the sketch — but the rest of the batch is dropped and
+// should be replayed by the producer. Either way W then moves to the
+// batch's end, and only after that are its points added to Ingested:
+// once Ingested covers every fed point, a checkpoint is saved at the
+// log's end.
+func (s *IngestService) ingestBatch(batch queuedBatch) {
 	applied := 0
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
 			s.met.workerPanics.Inc()
-			pe := &WorkerPanicError{Worker: i, Value: r, Stack: debug.Stack()}
+			pe := &WorkerPanicError{Worker: 0, Value: r, Stack: debug.Stack()}
 			s.lastErr.Store(&errBox{err: pe})
 			s.log.Error("ingest worker panic recovered; batch dropped",
-				slog.Int("worker", i),
 				slog.Any("panic", r),
 				slog.Int("batch_points", len(batch.pts)))
 		}
-		if s.wal != nil {
-			s.applied.finish(batch.start)
-		}
+		s.applied.Store(batch.end)
 		s.ingested.Add(int64(applied))
 		s.met.ingestPoints.Add(uint64(applied))
 	}()
-	sh := s.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	s.sumMu.Lock()
+	defer s.sumMu.Unlock()
 	for _, p := range batch.pts {
 		if s.panicHook != nil {
 			s.panicHook(p)
 		}
-		if err := sh.sum.Feed(p); err != nil {
+		if err := s.sum.Feed(p); err != nil {
 			// Feed pre-validated the batch; a rejection here means the
-			// point mutated in flight — count it, keep the shard sound.
+			// point mutated in flight — count it, keep the summary sound.
 			s.invalid.Add(1)
 			s.met.ingestInvalid.Inc()
 			continue
@@ -1041,35 +988,18 @@ func (s *IngestService) ingestBatch(i int, batch queuedBatch) {
 	}
 }
 
-// mergedSummary composes the restored base and every live shard into a
-// fresh summary — the mergeable-coreset property makes the composition
-// exact regardless of how points were routed across shards.
-func (s *IngestService) mergedSummary() (*stream.Summary, error) {
-	out := stream.NewSummary(s.opts.Directions, s.opts.Dim, s.opts.Seed)
-	if s.base != nil {
-		if err := out.Merge(s.base); err != nil {
-			return nil, err
-		}
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		err := out.Merge(sh.sum)
-		sh.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Summary returns the current merged stream summary as a StreamSummary
-// (a private copy; feeding it does not affect the service).
+// Summary returns the current stream summary as a StreamSummary: a
+// private copy with the same champion slots, so feeding it does not
+// affect the service. The copy's net is built outside the lock.
 func (s *IngestService) Summary() (*StreamSummary, error) {
-	sum, err := s.mergedSummary()
+	out := stream.NewSummary(s.opts.Directions, s.opts.Dim, s.opts.Seed)
+	s.sumMu.Lock()
+	err := out.Merge(s.sum)
+	s.sumMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return &StreamSummary{s: sum}, nil
+	return &StreamSummary{s: out}, nil
 }
 
 // StreamN returns the total stream position: points restored from the
@@ -1079,19 +1009,25 @@ func (s *IngestService) StreamN() int {
 	return n
 }
 
-// streamPosition returns StreamN and the champion version, the sum of
-// the shards' summary versions. Each shard's version only grows, so an
-// unchanged sum means no shard changed a champion; base is read-only
-// after restore.
+// streamPosition returns StreamN and the summary's champion version,
+// which only grows, so an unchanged version means unchanged champions.
 func (s *IngestService) streamPosition() (n int, version uint64) {
-	n = s.restoredN
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.sum.N()
-		version += sh.sum.Version()
-		sh.mu.Unlock()
+	s.sumMu.Lock()
+	defer s.sumMu.Unlock()
+	return s.sum.N(), s.sum.Version()
+}
+
+// champions returns copies of the summary's distinct champion points in
+// slot order, and the stream position they summarize.
+func (s *IngestService) champions() ([]Point, int) {
+	s.sumMu.Lock()
+	defer s.sumMu.Unlock()
+	champs := s.sum.Coreset()
+	pts := make([]Point, len(champs))
+	for i, p := range champs {
+		pts[i] = Point(p.Clone())
 	}
-	return n, version
+	return pts, s.sum.N()
 }
 
 // RestoredPoints returns the stream position recovered at startup — the
@@ -1109,7 +1045,7 @@ func (s *IngestService) ReplayedPoints() int { return s.replayedN }
 // clears it.
 func (s *IngestService) StorageDegraded() bool { return s.walFailed.Load() }
 
-// Checkpoint writes the current merged summary as the next durable
+// Checkpoint writes the current summary as the next durable
 // generation. It is safe to call concurrently with ingestion and with
 // the automatic checkpoint loop. Returns nil when durability is
 // disabled.
@@ -1139,20 +1075,19 @@ func (s *IngestService) checkpointSave(span *obs.Span) error {
 	start := time.Now()
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	// The generation's position is W, read before the merge: the merged
-	// summary then holds every point of the log prefix [0, W), plus
-	// perhaps points of later batches a worker finished early. Those lie
-	// in the log past W, so replay feeds them again as duplicates, which
-	// the champions ignore. Checkpoints run one at a time under ckptMu,
-	// so saved positions never decrease.
-	w := s.applied.position()
-	sum, err := s.mergedSummary()
-	if err != nil {
-		return err
-	}
-	st := sum.State()
+	// The generation's position is W, read before the state: the state
+	// then holds every point of the log prefix [0, W), plus perhaps the
+	// head of the batch the worker is applying. That head lies in the
+	// log past W, so replay feeds it again as duplicates, which the
+	// champions ignore. Checkpoints run one at a time under ckptMu, so
+	// saved positions never decrease.
+	w := s.applied.Load()
+	s.sumMu.Lock()
+	st := s.sum.State()
+	s.sumMu.Unlock()
 	st.N = int(w)
-	if sum, err = stream.FromState(st); err != nil {
+	sum, err := stream.FromState(st)
+	if err != nil {
 		return err
 	}
 	meta, err := s.store.Save(sum)
@@ -1469,22 +1404,15 @@ func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algor
 	if s.buildHook != nil {
 		s.buildHook(ctx)
 	}
+	// summary-merge times the champion copy under the summary lock; the
+	// name is the one traces and dashboards already read.
 	mspan := bspan.StartChild("summary-merge")
 	mspan.SetAttr("directions", strconv.Itoa(s.opts.Directions))
-	sum, err := s.mergedSummary()
-	if err != nil {
-		mspan.End()
-		return nil, err
-	}
-	champs := sum.Coreset()
-	mspan.SetAttr("champions", strconv.Itoa(len(champs)))
+	pts, streamN := s.champions()
+	mspan.SetAttr("champions", strconv.Itoa(len(pts)))
 	mspan.End()
-	if len(champs) == 0 {
+	if len(pts) == 0 {
 		return nil, fmt.Errorf("%w: no points ingested yet", ErrEmptyInput)
-	}
-	pts := make([]Point, len(champs))
-	for i, p := range champs {
-		pts[i] = Point(p)
 	}
 	// The Coreseter is single-use (the champion set changes with the
 	// stream), so its own build cache would never hit; the serve-layer
@@ -1507,7 +1435,7 @@ func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algor
 		bspan.SetAttr("error", "watchdog_killed")
 		s.flightDump(obs.FlightWatchdogKill, rt)
 	}
-	meta := s.checkpointMeta(sum.N())
+	meta := s.checkpointMeta(streamN)
 	// Checkpoint provenance on the build span: which durable generation
 	// the served stream state descends from.
 	bspan.SetAttr("checkpoint_generation", strconv.FormatUint(meta.Generation, 10))
@@ -1528,7 +1456,7 @@ func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algor
 		}
 	}
 	if err == nil && s.stale != nil && q != nil && q.Report != nil && q.Report.Certified {
-		s.retainLastGood(eps, algo, q, sum.N())
+		s.retainLastGood(eps, algo, q, streamN)
 	}
 	return q, err
 }
@@ -1593,7 +1521,7 @@ func (s *IngestService) Stats() ServiceStats {
 
 // Close shuts the service down gracefully: no new feeds or builds are
 // accepted, queued build requests fail with ErrServiceClosed, queued
-// batches are drained into the shards, and a final checkpoint is written
+// batches are drained into the summary, and a final checkpoint is written
 // (its error is returned). Safe to call once; later calls return
 // ErrServiceClosed.
 func (s *IngestService) Close() error {

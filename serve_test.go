@@ -39,7 +39,7 @@ func newTestService(t *testing.T, opts ServeOptions) *IngestService {
 	return svc
 }
 
-// drain waits until every fed point has been applied to a shard.
+// drain waits until every fed point has been applied to the summary.
 func drain(t *testing.T, svc *IngestService, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -52,7 +52,7 @@ func drain(t *testing.T, svc *IngestService, want int64) {
 }
 
 func TestServeIngestAndCoreset(t *testing.T) {
-	svc := newTestService(t, ServeOptions{IngestWorkers: 3, Seed: 5})
+	svc := newTestService(t, ServeOptions{Seed: 5})
 	defer svc.Kill()
 
 	pts := servePoints(2000, 9)
@@ -100,7 +100,7 @@ func TestServeFeedValidation(t *testing.T) {
 }
 
 func TestServeWorkerPanicIsolation(t *testing.T) {
-	svc := newTestService(t, ServeOptions{IngestWorkers: 2})
+	svc := newTestService(t, ServeOptions{})
 	defer svc.Kill()
 	svc.panicHook = func(p []float64) {
 		if p[0] == 666 {
@@ -299,7 +299,7 @@ func TestServeRejectsInvalidBuildRequests(t *testing.T) {
 }
 
 func TestServeQueueBackpressure(t *testing.T) {
-	svc := newTestService(t, ServeOptions{IngestWorkers: 1, QueueSize: 2})
+	svc := newTestService(t, ServeOptions{QueueSize: 2})
 	block := make(chan struct{})
 	// Cleanups run LIFO: unblock the worker before Kill waits for it.
 	t.Cleanup(svc.Kill)
@@ -352,7 +352,7 @@ func TestServeCheckpointRestore(t *testing.T) {
 	path := filepath.Join(dir, "stream.snap")
 	pts := servePoints(1500, 17)
 
-	svc := newTestService(t, ServeOptions{SnapshotPath: path, Seed: 2, IngestWorkers: 2})
+	svc := newTestService(t, ServeOptions{SnapshotPath: path, Seed: 2})
 	if err := svc.Feed(pts[:1000]...); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestServeCheckpointRestore(t *testing.T) {
 	}
 
 	// Restart: recover, then replay the tail from the reported offset.
-	svc2 := newTestService(t, ServeOptions{SnapshotPath: path, Seed: 2, IngestWorkers: 2})
+	svc2 := newTestService(t, ServeOptions{SnapshotPath: path, Seed: 2})
 	defer svc2.Kill()
 	if got := svc2.RestoredPoints(); got != 1000 {
 		t.Fatalf("RestoredPoints = %d, want 1000", got)
@@ -487,7 +487,6 @@ func TestServeRequiresDim(t *testing.T) {
 func TestServeQuotaNotChargedOnShed(t *testing.T) {
 	frozen := time.Unix(1000, 0)
 	svc := newTestService(t, ServeOptions{
-		IngestWorkers:     1,
 		QueueSize:         1,
 		QuotaPointsPerSec: 1,
 		QuotaBurst:        8,

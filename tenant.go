@@ -19,15 +19,13 @@ import (
 
 // Multi-tenant serving. A TenantRegistry turns the one-process/one-
 // stream IngestService into one-process/N-streams: each tenant is a
-// fully supervised ingest service — its own sharded summary, snapshot
-// store, build cache, ε defaults, and quota — while the expensive
-// shared resource (concurrent certified builds) is arbitrated by a
-// single weighted-fair scheduler so no tenant's ε-sweep can starve
-// another (see scheduler.go). The coreset-per-instance model of the
-// paper maps one-to-one onto tenants: every tenant stream is an
-// independent instance with its own certified coresets, and the
-// mergeable-summary property keeps each tenant's shards (and future
-// cross-node shards) composable without touching any other tenant.
+// fully supervised ingest service — its own summary, snapshot store,
+// build cache, ε defaults, and quota — while the expensive shared
+// resource (concurrent certified builds) is arbitrated by a single
+// weighted-fair scheduler so no tenant's ε-sweep can starve another
+// (see scheduler.go). The coreset-per-instance model of the paper maps
+// one-to-one onto tenants: every tenant stream is an independent
+// instance with its own certified coresets.
 //
 // Durability is namespaced: tenant state lives under
 // <SnapshotDir>/<id>/ — a tenant.json manifest carrying the resolved
@@ -111,12 +109,10 @@ type TenantConfig struct {
 	// in points (0 = max(1, rate)).
 	QuotaPointsPerSec float64
 	QuotaBurst        int
-	// IngestWorkers, QueueSize, and BuildCache override the registry
-	// defaults for this tenant's ingest shards, batch queue, and
-	// served-coreset cache.
-	IngestWorkers int
-	QueueSize     int
-	BuildCache    int
+	// QueueSize and BuildCache override the registry defaults for this
+	// tenant's batch queue and served-coreset cache.
+	QueueSize  int
+	BuildCache int
 	// SnapshotPath overrides the namespaced default of
 	// <SnapshotDir>/<ID>/stream.snap. Relevant only for migrating a
 	// pre-registry single-tenant snapshot into a registry. Its log lives
@@ -152,9 +148,8 @@ type RegistryOptions struct {
 	MaxQueuedBuilds int
 	// BuildWorkers is the per-build worker-pool size (0 = GOMAXPROCS).
 	BuildWorkers int
-	// IngestWorkers and QueueSize are per-tenant defaults (1 / 256).
-	IngestWorkers int
-	QueueSize     int
+	// QueueSize is the per-tenant ingest queue default (256 batches).
+	QueueSize int
 	// BuildCache is the per-tenant served-coreset cache default
 	// (0 = 32 entries, negative disables).
 	BuildCache int
@@ -332,7 +327,6 @@ type tenantManifest struct {
 	Weight            float64   `json:"weight"`
 	QuotaPointsPerSec float64   `json:"quota_points_per_sec,omitempty"`
 	QuotaBurst        int       `json:"quota_burst,omitempty"`
-	IngestWorkers     int       `json:"ingest_workers,omitempty"`
 	QueueSize         int       `json:"queue_size,omitempty"`
 	BuildCache        int       `json:"build_cache,omitempty"`
 	CreatedAt         time.Time `json:"created_at"`
@@ -448,8 +442,7 @@ func manifestConfig(m tenantManifest) TenantConfig {
 		ID: m.ID, Dim: m.Dim, Eps: m.Eps, Alpha: m.Alpha,
 		Directions: m.Directions, Seed: m.Seed, Weight: m.Weight,
 		QuotaPointsPerSec: m.QuotaPointsPerSec, QuotaBurst: m.QuotaBurst,
-		IngestWorkers: m.IngestWorkers, QueueSize: m.QueueSize,
-		BuildCache: m.BuildCache,
+		QueueSize: m.QueueSize, BuildCache: m.BuildCache,
 	}
 }
 
@@ -497,9 +490,6 @@ func (r *TenantRegistry) resolve(cfg TenantConfig) TenantConfig {
 		cfg.Seed = r.opts.Seed
 	}
 	cfg.Weight = clampWeight(cfg.Weight)
-	if cfg.IngestWorkers == 0 {
-		cfg.IngestWorkers = r.opts.IngestWorkers
-	}
 	if cfg.QueueSize == 0 {
 		cfg.QueueSize = r.opts.QueueSize
 	}
@@ -530,7 +520,6 @@ func (r *TenantRegistry) startTenant(cfg TenantConfig, createdAt time.Time, pers
 		SnapshotPath:       path,
 		WAL:                r.opts.WAL,
 		CheckpointInterval: r.opts.CheckpointInterval,
-		IngestWorkers:      cfg.IngestWorkers,
 		QueueSize:          cfg.QueueSize,
 		BuildWorkers:       r.opts.BuildWorkers,
 		BuildCache:         cfg.BuildCache,
@@ -566,8 +555,8 @@ func writeManifest(dir string, cfg TenantConfig, createdAt time.Time) error {
 		ID: cfg.ID, Dim: cfg.Dim, Eps: cfg.Eps, Alpha: cfg.Alpha,
 		Directions: cfg.Directions, Seed: cfg.Seed, Weight: cfg.Weight,
 		QuotaPointsPerSec: cfg.QuotaPointsPerSec, QuotaBurst: cfg.QuotaBurst,
-		IngestWorkers: cfg.IngestWorkers, QueueSize: cfg.QueueSize,
-		BuildCache: cfg.BuildCache, CreatedAt: createdAt,
+		QueueSize: cfg.QueueSize, BuildCache: cfg.BuildCache,
+		CreatedAt: createdAt,
 	}
 	raw, _ := json.MarshalIndent(m, "", "  ")
 	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {

@@ -2,6 +2,7 @@ package mincore
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -263,7 +264,9 @@ func TestTenantDurabilityAndDelete(t *testing.T) {
 }
 
 // TestTenantRegistryRestore: a restarted registry restores every
-// manifested tenant with its configuration and stream.
+// manifested tenant with its configuration and stream, alpha from a
+// manifest that also carries a worker count, as older mcserve builds
+// wrote one by default: the key is ignored.
 func TestTenantRegistryRestore(t *testing.T) {
 	dir := t.TempDir()
 	opts := RegistryOptions{Dim: 2, SnapshotDir: dir, CheckpointInterval: -1}
@@ -290,6 +293,22 @@ func TestTenantRegistryRestore(t *testing.T) {
 	drain(t, beta.Service(), 200)
 	if err := r1.Close(); err != nil { // graceful: final checkpoints
 		t.Fatalf("Close: %v", err)
+	}
+	manifest := filepath.Join(dir, "alpha", manifestName)
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["ingest_workers"] = 2
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	r2, err := NewTenantRegistry(opts)
