@@ -71,7 +71,8 @@ tenants:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./cmd/mcserve/
 
 # Degraded-mode serving under the race detector: tenant quarantine and
-# the in-place recover ladder, stale-coreset fallback bounds, the
+# the in-place recover ladder, stale-coreset fallback bounds (the newest
+# build kept, the store bounded by the serve cache's capacity), the
 # fake-clock build watchdog, checkpoint-failure health, the hardened
 # HTTP front door, and the chaos matrix's fleet-corruption leg.
 degrade:

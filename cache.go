@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"mincore/internal/obs"
 )
@@ -17,12 +18,15 @@ import (
 // probes, an ε sweep, mcserve answering identical /coreset requests —
 // recompute bitwise-identical results. resultCache memoizes them:
 //
-//   - a bounded LRU of successful results, keyed by (algorithm,
-//     quantized ε) at the Coreseter layer and by (stream generation, ε,
-//     algorithm) at the serve layer;
-//   - per-key singleflight, so N concurrent identical requests share one
-//     underlying build: the first caller leads, the rest wait on its
-//     flight and receive private clones of the result;
+//   - a bounded LRU of successful results, one per (algorithm, quantized
+//     ε), stamped with the version of the inputs they were built from; a
+//     read hits at its own version. Coreseter inputs never change (the
+//     zero stamp); the ingest service stamps the champions a build
+//     copied, and its stale fallback reads an entry at any version;
+//   - singleflight per (key, reader's version), so N concurrent
+//     identical requests share one underlying build: the first caller
+//     leads, the rest wait on its flight and receive private clones of
+//     the result;
 //   - cancellation handoff: a leader whose context dies mid-build does
 //     not poison the key — its followers observe the context error,
 //     re-enter, and one of them becomes the new leader under its own
@@ -57,10 +61,26 @@ func quantizeEps(eps float64) int64 {
 	return int64(math.Round(eps / epsQuantum))
 }
 
-// buildKey identifies one memoizable Coreseter build.
+// buildKey identifies one memoizable build.
 type buildKey struct {
 	algo Algorithm
 	qeps int64
+}
+
+// stamp is the provenance of a stored build: the champion version and
+// stream position of the champions a served build copied, and when the
+// build completed. Coreseter builds carry the zero stamp.
+type stamp struct {
+	version uint64
+	streamN int
+	builtAt time.Time
+}
+
+// flightKey identifies one in-progress build: the key and the version
+// its leader read.
+type flightKey struct {
+	key     buildKey
+	version uint64
 }
 
 // cacheMetrics are the hit/miss/eviction counters of one cache layer.
@@ -76,20 +96,21 @@ type flight struct {
 	err  error
 }
 
-type cacheEntry[K comparable] struct {
-	key K
+type cacheEntry struct {
+	key buildKey
+	st  stamp
 	q   *Coreset // canonical snapshot; every return path clones it
 }
 
-// resultCache is a bounded LRU of build results with per-key
+// resultCache is a bounded LRU of build results with per-(key, version)
 // singleflight. The zero value is not usable; construct with
 // newResultCache. All methods are safe for concurrent use.
-type resultCache[K comparable] struct {
+type resultCache struct {
 	mu      sync.Mutex
 	cap     int
-	order   *list.List // most-recently-used first; values are *cacheEntry[K]
-	items   map[K]*list.Element
-	flights map[K]*flight
+	order   *list.List // most-recently-used first; values are *cacheEntry
+	items   map[buildKey]*list.Element
+	flights map[flightKey]*flight
 	met     cacheMetrics
 
 	// onLeader, when non-nil (tests only), runs on the leader goroutine
@@ -97,48 +118,51 @@ type resultCache[K comparable] struct {
 	onLeader func()
 }
 
-func newResultCache[K comparable](capacity int, met cacheMetrics) *resultCache[K] {
-	return &resultCache[K]{
+func newResultCache(capacity int, met cacheMetrics) *resultCache {
+	return &resultCache{
 		cap:     capacity,
 		order:   list.New(),
-		items:   make(map[K]*list.Element),
-		flights: make(map[K]*flight),
+		items:   make(map[buildKey]*list.Element),
+		flights: make(map[flightKey]*flight),
 		met:     met,
 	}
 }
 
-// get returns a private clone of the cached result for key, or
-// (nil, false). It never blocks on an in-flight build.
-func (c *resultCache[K]) get(key K) (*Coreset, bool) {
+// latest returns the stored build for key, whatever version it was built
+// at, with its stamp. q is the canonical snapshot: callers copy it
+// before handing it out. It never blocks on an in-flight build and
+// counts no hit.
+func (c *resultCache) latest(key buildKey) (q *Coreset, st stamp, ok bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.mu.Unlock()
-		return nil, false
+		return nil, stamp{}, false
 	}
 	c.order.MoveToFront(el)
-	q := el.Value.(*cacheEntry[K]).q
-	c.mu.Unlock()
-	c.met.hits.Inc()
-	return cloneCachedCoreset(q), true
+	e := el.Value.(*cacheEntry)
+	return e.q, e.st, true
 }
 
-// do returns the cached result for key, joins an in-flight identical
-// build, or leads a new build. The boolean reports whether the result
-// came from the cache or a shared flight (true) rather than this
-// caller's own build (false). The leader's build runs under the leader's
-// ctx; followers whose own ctx dies stop waiting and return its error.
-func (c *resultCache[K]) do(ctx context.Context, key K, build func(context.Context) (*Coreset, error)) (*Coreset, bool, error) {
+// do returns the stored result for key when its stamp carries version,
+// joins an in-flight build of (key, version), or leads a new build. The
+// boolean reports whether the result came from the cache or a shared
+// flight (true) rather than this caller's own build (false). The
+// leader's build runs under the leader's ctx; followers whose own ctx
+// dies stop waiting and return its error. The build's own stamp, not
+// version, is what the stored entry carries.
+func (c *resultCache) do(ctx context.Context, key buildKey, version uint64, build func(context.Context) (*Coreset, stamp, error)) (*Coreset, bool, error) {
+	fk := flightKey{key: key, version: version}
 	for {
 		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
+		if el, ok := c.items[key]; ok && el.Value.(*cacheEntry).st.version == version {
 			c.order.MoveToFront(el)
-			q := el.Value.(*cacheEntry[K]).q
+			q := el.Value.(*cacheEntry).q
 			c.mu.Unlock()
 			c.met.hits.Inc()
 			return cloneCachedCoreset(q), true, nil
 		}
-		if f, ok := c.flights[key]; ok {
+		if f, ok := c.flights[fk]; ok {
 			c.mu.Unlock()
 			select {
 			case <-f.done:
@@ -161,63 +185,69 @@ func (c *resultCache[K]) do(ctx context.Context, key K, build func(context.Conte
 			}
 		}
 		f := &flight{done: make(chan struct{})}
-		c.flights[key] = f
+		c.flights[fk] = f
 		c.mu.Unlock()
 
 		c.met.misses.Inc()
 		if c.onLeader != nil {
 			c.onLeader()
 		}
-		q, err := build(ctx)
-		var snap *Coreset
+		q, st, err := build(ctx)
 		if err == nil {
 			// The snapshot, not the caller-visible q, is what the cache and
 			// the followers hold: the leader's caller is free to mutate its
-			// own result.
-			snap = snapshotCoreset(q)
+			// own result. It is stored before the flight ends, so no
+			// caller can miss both.
+			f.q = c.put(key, q, st)
 		}
 		c.mu.Lock()
-		delete(c.flights, key)
-		if err == nil {
-			c.storeLocked(key, snap)
-		}
+		delete(c.flights, fk)
 		c.mu.Unlock()
-		f.q, f.err = snap, err
+		f.err = err
 		close(f.done)
 		return q, false, err
 	}
 }
 
-// storeLocked inserts (or refreshes) an entry and evicts from the LRU
-// tail past capacity. Callers hold c.mu.
-func (c *resultCache[K]) storeLocked(key K, q *Coreset) {
+// put stores a snapshot of q as the entry for key, evicting from the LRU
+// tail past capacity, and returns the snapshot. A build of an earlier
+// stream position than the stored one is not stored, so an entry's
+// provenance never goes backwards when overlapping builds finish out of
+// order.
+func (c *resultCache) put(key buildKey, q *Coreset, st stamp) *Coreset {
+	snap := snapshotCoreset(q)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry[K]).q = q
-		c.order.MoveToFront(el)
-		return
+		if e := el.Value.(*cacheEntry); st.streamN >= e.st.streamN {
+			e.q, e.st = snap, st
+			c.order.MoveToFront(el)
+		}
+		return snap
 	}
-	c.items[key] = c.order.PushFront(&cacheEntry[K]{key: key, q: q})
+	c.items[key] = c.order.PushFront(&cacheEntry{key: key, st: st, q: snap})
 	for c.order.Len() > c.cap {
 		el := c.order.Back()
 		c.order.Remove(el)
-		delete(c.items, el.Value.(*cacheEntry[K]).key)
+		delete(c.items, el.Value.(*cacheEntry).key)
 		c.met.evictions.Inc()
 	}
+	return snap
 }
 
 // forEach visits every cached entry, most-recently-used first, under the
 // cache lock; f must not call back into the cache.
-func (c *resultCache[K]) forEach(f func(K, *Coreset)) {
+func (c *resultCache) forEach(f func(buildKey, *Coreset)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry[K])
+		e := el.Value.(*cacheEntry)
 		f(e.key, e.q)
 	}
 }
 
 // len returns the number of cached entries.
-func (c *resultCache[K]) len() int {
+func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()

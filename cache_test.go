@@ -214,7 +214,8 @@ func TestBuildCacheSingleflightTorture(t *testing.T) {
 // against the raw cache: the leader's ctx dies mid-build, and a follower
 // must take over and complete rather than inherit the cancellation.
 func TestResultCacheLeaderCancelHandoff(t *testing.T) {
-	rc := newResultCache[string](4, buildCacheMetrics())
+	rc := newResultCache(4, buildCacheMetrics())
+	k := buildKey{algo: DSMC, qeps: quantizeEps(0.1)}
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderStarted := make(chan struct{})
 	want := &Coreset{Indices: []int{1, 2}, Eps: 0.1, Loss: 0.05,
@@ -223,10 +224,10 @@ func TestResultCacheLeaderCancelHandoff(t *testing.T) {
 	var followerBuilds atomic.Int64
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := rc.do(leaderCtx, "k", func(ctx context.Context) (*Coreset, error) {
+		_, _, err := rc.do(leaderCtx, k, 0, func(ctx context.Context) (*Coreset, stamp, error) {
 			close(leaderStarted)
 			<-ctx.Done()
-			return nil, ctx.Err()
+			return nil, stamp{}, ctx.Err()
 		})
 		leaderErr <- err
 	}()
@@ -237,9 +238,9 @@ func TestResultCacheLeaderCancelHandoff(t *testing.T) {
 	var ferr error
 	go func() {
 		defer close(followerDone)
-		fq, _, ferr = rc.do(context.Background(), "k", func(ctx context.Context) (*Coreset, error) {
+		fq, _, ferr = rc.do(context.Background(), k, 0, func(ctx context.Context) (*Coreset, stamp, error) {
 			followerBuilds.Add(1)
-			return want, nil
+			return want, stamp{}, nil
 		})
 	}()
 	// Give the follower a moment to join the leader's flight, then kill
@@ -272,9 +273,9 @@ func TestResultCacheLeaderCancelHandoff(t *testing.T) {
 		t.Fatalf("follower should have led exactly one build, ran %d", n)
 	}
 	// The key must be usable (and now cached) for later callers.
-	q, hit, err := rc.do(context.Background(), "k", func(ctx context.Context) (*Coreset, error) {
+	q, hit, err := rc.do(context.Background(), k, 0, func(ctx context.Context) (*Coreset, stamp, error) {
 		t.Fatal("key should be cached; build must not run")
-		return nil, nil
+		return nil, stamp{}, nil
 	})
 	if err != nil || !hit || !sameIndices(q.Indices, want.Indices) {
 		t.Fatalf("post-handoff lookup: q=%+v hit=%v err=%v", q, hit, err)
@@ -330,12 +331,13 @@ func TestBuildCacheLeaderCancelHandoffIntegration(t *testing.T) {
 }
 
 func TestResultCacheLRUEviction(t *testing.T) {
-	rc := newResultCache[int](2, buildCacheMetrics())
+	rc := newResultCache(2, buildCacheMetrics())
 	evBefore := mCacheEvictionsBuild.Value()
+	key := func(i int) buildKey { return buildKey{algo: DSMC, qeps: int64(i + 1)} }
 	mk := func(i int) *Coreset { return &Coreset{Indices: []int{i}} }
 	for i := 0; i < 3; i++ {
-		if _, _, err := rc.do(context.Background(), i, func(context.Context) (*Coreset, error) {
-			return mk(i), nil
+		if _, _, err := rc.do(context.Background(), key(i), 0, func(context.Context) (*Coreset, stamp, error) {
+			return mk(i), stamp{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -346,11 +348,11 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	if d := mCacheEvictionsBuild.Value() - evBefore; d != 1 {
 		t.Fatalf("want 1 eviction, got %d", d)
 	}
-	if _, ok := rc.get(0); ok {
+	if _, _, ok := rc.latest(key(0)); ok {
 		t.Fatal("oldest entry should have been evicted")
 	}
 	for _, k := range []int{1, 2} {
-		if _, ok := rc.get(k); !ok {
+		if q, _, ok := rc.latest(key(k)); !ok || !sameIndices(q.Indices, mk(k).Indices) {
 			t.Fatalf("entry %d should have survived", k)
 		}
 	}
@@ -644,9 +646,6 @@ func TestServeCoresetCacheHitMatchesUncached(t *testing.T) {
 func TestServeBuildCacheDisabled(t *testing.T) {
 	svc := newTestService(t, ServeOptions{Dim: 2, Seed: 5, BuildCache: -1})
 	defer svc.Close()
-	if svc.served != nil {
-		t.Fatal("BuildCache < 0 must disable the served-coreset cache")
-	}
 	pts := randomPoints(100, 2, 33)
 	if err := svc.Feed(pts...); err != nil {
 		t.Fatal(err)

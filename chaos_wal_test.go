@@ -56,7 +56,7 @@ func walSummaryBytes(t *testing.T, svc *IngestService) []byte {
 		t.Fatalf("summary: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := snapshot.Encode(&buf, sum.s, snapshot.Meta{}); err != nil {
+	if err := snapshot.Encode(&buf, sum.s.State(), snapshot.Meta{}); err != nil {
 		t.Fatalf("encode summary: %v", err)
 	}
 	return buf.Bytes()
@@ -337,7 +337,7 @@ func TestServeWALUpgradeFromSnapshotOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("summary: %v", err)
 	}
-	if _, err := snapshot.NewStore(opts.SnapshotPath).Save(sum.s); err != nil {
+	if _, err := snapshot.NewStore(opts.SnapshotPath).Save(sum.s.State()); err != nil {
 		t.Fatalf("save generation: %v", err)
 	}
 	if _, err := os.Stat(WALDir(opts.SnapshotPath)); !errors.Is(err, os.ErrNotExist) {
@@ -709,7 +709,7 @@ func checkpointPrefixRun(t *testing.T, run int64) {
 
 	encode := func(s *stream.Summary) []byte {
 		var buf bytes.Buffer
-		if err := snapshot.Encode(&buf, s, snapshot.Meta{}); err != nil {
+		if err := snapshot.Encode(&buf, s.State(), snapshot.Meta{}); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
 		return buf.Bytes()

@@ -116,7 +116,7 @@ func main() {
 	inflight := flag.Int("max-inflight-builds", 2, "concurrent coreset builds across ALL tenants (fair-share scheduled)")
 	maxQueued := flag.Int("max-queued-builds", 16, "pending builds per tenant before shedding with 503")
 	buildWorkers := flag.Int("build-workers", 0, "worker-pool size for builds (0 = GOMAXPROCS)")
-	buildCache := flag.Int("build-cache", 0, "served-coreset cache entries per tenant (0 = default of 32, negative = disabled)")
+	buildCache := flag.Int("build-cache", 0, "served-coreset cache per tenant in (eps, algorithm) pairs, which also bounds the stale fallback (0 = default of 32; negative = no cache hits, with up to 32 builds still kept for the fallback)")
 	quota := flag.Float64("quota", 0, "default-tenant ingest quota in points/s (0 = unlimited; 429 when exceeded)")
 	watchdog := flag.Duration("build-watchdog", 0, "hard per-build slot budget; a build holding its slot longer is killed and the slot reclaimed (0 = off)")
 	staleMaxAge := flag.Duration("stale-max-age", 0, "serve the last certified coreset (marked stale) when a fresh build fails, if at most this old (0 = stale serving off)")

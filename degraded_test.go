@@ -285,6 +285,117 @@ func TestStaleFallbackBounds(t *testing.T) {
 	})
 }
 
+// TestStaleFallbackKeepsNewestBuild: when overlapping builds of one
+// (ε, algorithm) finish out of order, the stored fallback keeps the
+// build of the later stream position. The first build is held after it
+// copied the champions at 600 points, and a second build at 700 points
+// completes before the first is released.
+func TestStaleFallbackKeepsNewestBuild(t *testing.T) {
+	svc := newTestService(t, ServeOptions{
+		Seed: 3, BuildCache: -1, MaxInflightBuilds: 2,
+		StaleServe: WithStaleServe(0, 0),
+	})
+	defer svc.Kill()
+	pts := servePoints(700, 11)
+	if err := svc.Feed(pts[:600]...); err != nil {
+		t.Fatalf("Feed: %v", err)
+	}
+	drain(t, svc, 600)
+
+	entered := make(chan struct{})
+	unblock := make(chan struct{})
+	svc.buildHook = func(context.Context) { close(entered); <-unblock }
+	first := make(chan error, 1)
+	go func() {
+		_, err := svc.Coreset(context.Background(), 0.1, Auto)
+		first <- err
+	}()
+	<-entered
+	svc.buildHook = nil
+
+	if err := svc.Feed(pts[600:]...); err != nil {
+		t.Fatalf("Feed tail: %v", err)
+	}
+	drain(t, svc, 700)
+	q, err := svc.Coreset(context.Background(), 0.1, Auto)
+	if err != nil {
+		t.Fatalf("second build: %v", err)
+	}
+	if got := q.Report.Checkpoint.StreamN; got != 700 {
+		t.Fatalf("second build at stream position %d, want 700", got)
+	}
+	close(unblock)
+	if err := <-first; err != nil {
+		t.Fatalf("first build: %v", err)
+	}
+	_, st, ok := svc.served.latest(buildKey{algo: Auto, qeps: quantizeEps(0.1)})
+	if !ok || st.streamN != 700 {
+		t.Fatalf("stored fallback at stream position %d (stored %v), want 700", st.streamN, ok)
+	}
+}
+
+// TestStaleFallbackStoreBounded: the fallback reads the serve cache's
+// entries, so client-chosen ε values cannot grow the stored builds past
+// its capacity. Reads at 40 distinct ε keep 32 builds at the default
+// capacity and count the 8 dropped as serve-layer evictions. When the
+// fresh builds are then shed, the most recent ε still falls back, and
+// the evicted oldest one returns the original error.
+func TestStaleFallbackStoreBounded(t *testing.T) {
+	sched := newBuildScheduler(1, 1, 0, nil)
+	svc := newTestService(t, ServeOptions{
+		Seed: 5, sched: sched,
+		StaleServe: WithStaleServe(0, 0),
+	})
+	defer svc.Kill()
+	pts := servePoints(400, 13)
+	if err := svc.Feed(pts...); err != nil {
+		t.Fatalf("Feed: %v", err)
+	}
+	drain(t, svc, 400)
+
+	const reads = 40
+	eps := func(i int) float64 { return 0.05 + 0.005*float64(i) }
+	evBefore := svc.met.cache.evictions.Value()
+	for i := 0; i < reads; i++ {
+		if _, err := svc.Coreset(context.Background(), eps(i), Auto); err != nil {
+			t.Fatalf("Coreset(ε=%g): %v", eps(i), err)
+		}
+	}
+	if n := svc.served.len(); n != defaultServeCacheSize {
+		t.Fatalf("%d distinct ε stored %d builds, want the capacity %d", reads, n, defaultServeCacheSize)
+	}
+	if d := svc.met.cache.evictions.Value() - evBefore; d != reads-defaultServeCacheSize {
+		t.Fatalf("serve-layer evictions rose by %d, want %d", d, reads-defaultServeCacheSize)
+	}
+
+	// A point beyond every champion moves the version, so the next reads
+	// need a build slot, and a held slot plus a parked request shed them.
+	if err := svc.Feed(Point{3, 3}); err != nil {
+		t.Fatalf("Feed: %v", err)
+	}
+	drain(t, svc, 401)
+	_, g, err := sched.acquire(context.Background(), "", 1)
+	if err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	defer g.release()
+	defer parkBuildRequest(t, sched, "")()
+
+	sq, err := svc.Coreset(context.Background(), eps(reads-1), Auto)
+	if err != nil || !sq.Report.Stale {
+		t.Fatalf("most recent ε shed: err=%v stale=%v", err, sq != nil && sq.Report.Stale)
+	}
+	if sm := sq.Report.Staleness; sm.StreamN != 400 || sm.PointsBehind != 1 {
+		t.Errorf("staleness position: stream_n=%d behind=%d, want 400/1", sm.StreamN, sm.PointsBehind)
+	}
+	if _, err := svc.Coreset(context.Background(), eps(0), Auto); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("evicted ε shed: err = %v, want ErrOverloaded", err)
+	}
+	if got := svc.Stats().StaleServed; got != 1 {
+		t.Errorf("StaleServed = %d, want 1", got)
+	}
+}
+
 // TestWatchdogKillAnsweredStale is the end-to-end degraded-mode path of
 // the issue's acceptance criteria: a hung build under a registry with a
 // build watchdog is killed deterministically (fake clock + manual

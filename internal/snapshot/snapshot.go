@@ -83,12 +83,8 @@ type Meta struct {
 	SavedAt time.Time
 }
 
-// Encode writes s as a format-v1 snapshot to w.
-func Encode(w io.Writer, s *stream.Summary, meta Meta) error {
-	if s == nil {
-		return fmt.Errorf("snapshot: encode nil summary")
-	}
-	st := s.State()
+// Encode writes a summary's state as a format-v1 snapshot to w.
+func Encode(w io.Writer, st stream.State, meta Meta) error {
 	crc := crc32.NewIEEE()
 	mw := io.MultiWriter(w, crc)
 
@@ -278,13 +274,13 @@ func (fr faultyReader) Read(p []byte) (int, error) {
 	return fr.r.Read(p)
 }
 
-// Save writes s as the next generation using the crash-safe protocol:
-// temp file, fsync, rotate current → previous, rename temp into place,
-// fsync directory. On any error the current and previous generations on
+// Save writes a summary's state as the next generation using the
+// crash-safe protocol: temp file, fsync, rotate current → previous,
+// rename temp into place, fsync directory. On any error the current and previous generations on
 // disk are untouched (the temp file may remain and is reclaimed by the
 // next successful Save). The generation counter advances only on
 // success, so a failed save retried later reuses the same number.
-func (st *Store) Save(s *stream.Summary) (Meta, error) {
+func (st *Store) Save(s stream.State) (Meta, error) {
 	meta := Meta{Generation: st.gen + 1, SavedAt: st.now()}
 	tmp := st.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -44,7 +44,7 @@ func testSummary(t *testing.T, d, npts int, seed int64) *stream.Summary {
 func encodeToBytes(t *testing.T, s *stream.Summary, meta Meta) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Encode(&buf, s, meta); err != nil {
+	if err := Encode(&buf, s.State(), meta); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	return buf.Bytes()
@@ -272,7 +272,7 @@ func TestStoreSaveLoadGenerations(t *testing.T) {
 	}
 
 	s := testSummary(t, 2, 50, 3)
-	meta1, err := st.Save(s)
+	meta1, err := st.Save(s.State())
 	if err != nil {
 		t.Fatalf("Save #1: %v", err)
 	}
@@ -283,7 +283,7 @@ func TestStoreSaveLoadGenerations(t *testing.T) {
 	for _, p := range testPoints(2, 30, 77) {
 		s.Add(p)
 	}
-	meta2, err := st.Save(s)
+	meta2, err := st.Save(s.State())
 	if err != nil {
 		t.Fatalf("Save #2: %v", err)
 	}
@@ -309,13 +309,13 @@ func TestStoreFallbackToPreviousGeneration(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore(filepath.Join(dir, "stream.snap"))
 	s := testSummary(t, 2, 40, 3)
-	if _, err := st.Save(s); err != nil {
+	if _, err := st.Save(s.State()); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range testPoints(2, 10, 5) {
 		s.Add(p)
 	}
-	if _, err := st.Save(s); err != nil {
+	if _, err := st.Save(s.State()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -349,7 +349,7 @@ func TestStoreInjectedWriteFaultLeavesDiskIntact(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore(filepath.Join(dir, "stream.snap"))
 	s := testSummary(t, 2, 40, 3)
-	if _, err := st.Save(s); err != nil {
+	if _, err := st.Save(s.State()); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(st.Path())
@@ -359,7 +359,7 @@ func TestStoreInjectedWriteFaultLeavesDiskIntact(t *testing.T) {
 
 	for _, site := range []faultinject.Site{faultinject.SiteSnapshotWrite, faultinject.SiteSnapshotFsync} {
 		faultinject.Enable(faultinject.Config{Seed: 1, Rate: 1, Sites: []faultinject.Site{site}})
-		_, err = st.Save(s)
+		_, err = st.Save(s.State())
 		faultinject.Disable()
 		if err == nil {
 			t.Fatalf("site %v: Save succeeded under injected fault", site)
@@ -374,7 +374,7 @@ func TestStoreInjectedWriteFaultLeavesDiskIntact(t *testing.T) {
 	}
 
 	// The failed saves must not have consumed generation numbers.
-	meta, err := st.Save(s)
+	meta, err := st.Save(s.State())
 	if err != nil {
 		t.Fatalf("Save after faults: %v", err)
 	}
@@ -387,13 +387,13 @@ func TestStoreInjectedReadFaultFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore(filepath.Join(dir, "stream.snap"))
 	s := testSummary(t, 2, 40, 3)
-	if _, err := st.Save(s); err != nil {
+	if _, err := st.Save(s.State()); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range testPoints(2, 10, 5) {
 		s.Add(p)
 	}
-	if _, err := st.Save(s); err != nil {
+	if _, err := st.Save(s.State()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -410,12 +410,6 @@ func TestStoreInjectedReadFaultFallsBack(t *testing.T) {
 	}
 	if faultinject.Hits(faultinject.SiteSnapshotRead) == 0 {
 		t.Fatal("read failpoint never evaluated — hook not wired")
-	}
-}
-
-func TestEncodeNilSummary(t *testing.T) {
-	if err := Encode(&bytes.Buffer{}, nil, Meta{}); err == nil {
-		t.Fatal("Encode(nil) succeeded")
 	}
 }
 

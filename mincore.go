@@ -138,7 +138,7 @@ type Coreseter struct {
 
 	// cache memoizes successful builds per (algorithm, quantized ε) with
 	// singleflight dedup; nil when disabled via WithBuildCache.
-	cache *resultCache[buildKey]
+	cache *resultCache
 
 	// inputDim is the dimensionality New was given, before constant-
 	// attribute dropping; Normalize validates against it.
@@ -230,7 +230,7 @@ func New(points []Point, opts ...Option) (*Coreseter, error) {
 
 	c := &Coreseter{opts: o, inputDim: d}
 	if n := cacheCapacity(o.BuildCache, defaultBuildCacheSize); n > 0 {
-		c.cache = newResultCache[buildKey](n, buildCacheMetrics())
+		c.cache = newResultCache(n, buildCacheMetrics())
 	}
 	// (Near-)constant attributes carry no preference information — every
 	// point gains the same inner-product offset — and a data slab thinner
@@ -393,9 +393,10 @@ func (c *Coreseter) CoresetCtx(ctx context.Context, eps float64, algo Algorithm)
 		return nil, err
 	}
 	if c.cache != nil && eps > 0 && eps < 1 {
-		q, _, err := c.cache.do(ctx, buildKey{algo: algo, qeps: quantizeEps(eps)},
-			func(ctx context.Context) (*Coreset, error) {
-				return c.buildOnce(ctx, eps, algo, "miss")
+		q, _, err := c.cache.do(ctx, buildKey{algo: algo, qeps: quantizeEps(eps)}, 0,
+			func(ctx context.Context) (*Coreset, stamp, error) {
+				q, err := c.buildOnce(ctx, eps, algo, "miss")
+				return q, stamp{}, err
 			})
 		return q, err
 	}

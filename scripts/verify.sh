@@ -81,13 +81,14 @@ go test -count=1 -run 'TestTrace|TestServiceStatsCheckpointLag' .
 
 # Build cache: singleflight dedup and leader-cancellation handoff under
 # the race detector, bitwise identity of cached results, the FixedSize
-# bracket shrink, sweep consistency, and the serve cache's champion-
-# version key: batches of already-seen and interior points keep the hit
-# (with the checkpoint provenance of now), a new champion misses, and
-# every answer, hit or rebuild, is bitwise what an uncached service
-# returns for the same stream; after a restart, from a Kill through the
-# log replay and from a Close through the final snapshot, batches of
-# points seen before it keep hitting with no champion update.
+# bracket shrink, sweep consistency, and the serve cache's one entry per
+# (ε, algorithm), stamped with the champion version it copied: batches
+# of already-seen and interior points keep the hit (with the checkpoint
+# provenance of now), a new champion misses, and every answer, hit or
+# rebuild, is bitwise what an uncached service returns for the same
+# stream; after a restart, from a Kill through the log replay and from
+# a Close through the final snapshot, batches of points seen before it
+# keep hitting with no champion update.
 echo "== build cache (singleflight, handoff, bitwise identity)"
 GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestBuildCache|TestResultCache|TestWithBuildCache|TestFixedSizeBracket|TestCoresetSweep|TestServeCoreset|TestServeBuildCache|TestQuantizeEps' .
@@ -106,7 +107,9 @@ GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestScheduler|TestTenant|TestValidTenantID|TestServeAdmissionControl|TestServeStandaloneBuildsQueue|TestServeRejectsInvalidBuildRequests' .
 
 # Degraded-mode serving: tenant quarantine + the in-place recover
-# ladder, stale-coreset fallback (bounds, never-silent marking), the
+# ladder, stale-coreset fallback (bounds, never-silent marking, the
+# newest build kept when overlapping builds finish out of order, and
+# the store bounded by the serve cache's capacity), the
 # fake-clock build watchdog, checkpoint-failure health, and the
 # hardened front door. The mcserve leg boots the real mux through
 # httptest, scrapes /readyz and /metrics, and validates the

@@ -91,6 +91,8 @@ var (
 // explicitly marked (Report.Stale, StalenessMeta, and a Warning header in
 // mcserve), never silently, and never past the configured bounds. A zero
 // bound leaves that dimension unbounded; a nil policy disables fallback.
+// The retained builds are the served-coreset cache's entries, so
+// ServeOptions.BuildCache bounds them; an evicted pair has no fallback.
 type StaleServePolicy struct {
 	// MaxAge caps the wall-clock age of a served stale result.
 	MaxAge time.Duration
@@ -236,13 +238,15 @@ type ServeOptions struct {
 	// BuildWorkers is the Options.Workers value for served builds
 	// (0 = GOMAXPROCS).
 	BuildWorkers int
-	// BuildCache bounds the cache of served coresets, keyed by (champion
-	// version, quantized ε, algorithm). The version moves only when an
-	// ingested point changes a champion, so a change of champion
+	// BuildCache bounds the cache of served coresets: per (quantized ε,
+	// algorithm), the last certified build and the champion version it
+	// copied; a read hits at the live version. The version moves only
+	// when an ingested point changes a champion, so a change of champion
 	// invalidates every cached result, and a batch that changes none
 	// keeps them. Concurrent identical requests share one underlying
-	// build via singleflight. 0 selects the default capacity (32
-	// entries); negative disables caching.
+	// build via singleflight. 0 selects the default capacity (32 pairs);
+	// negative disables hits, but builds are still stored, at the
+	// default capacity, for the StaleServe fallback.
 	BuildCache int
 	// Logger receives the service's structured logs: checkpoint
 	// failures and backoff, recovered worker panics, shed batches and
@@ -506,26 +510,19 @@ type IngestService struct {
 	cacheHits, cacheMisses      atomic.Int64
 	lastErr                     atomic.Pointer[errBox]
 
-	// served caches built coresets keyed by (champion version, quantized
-	// ε, algorithm); nil when disabled. A change of champion advances the
-	// version, so it invalidates every cached entry; ingest that changes
-	// none keeps them.
-	served *resultCache[serveKey]
-
-	// stale retains the last certified build per (quantized ε, algorithm)
-	// for degraded-mode serving — unlike the serve cache its key carries
-	// no champion version, so a change of champion does not invalidate
-	// it; the policy's bounds do. nil without a StaleServePolicy.
-	staleMu     sync.Mutex
-	stale       map[staleKey]*staleEntry
+	// served holds the last certified build per (quantized ε,
+	// algorithm), stamped with the champion version, stream position and
+	// build time of the champions it copied. A read hits at the live
+	// version; the stale fallback reads an entry at any version.
+	served      *resultCache
 	staleServed atomic.Int64
 
 	// panicHook, when set (tests only), runs inside the worker for every
 	// point before it is fed — the injection point for supervision tests.
 	panicHook func([]float64)
 	// buildHook, when set (tests only), runs inside buildServed after the
-	// slot is granted, under the grant's context — the injection point for
-	// hung-build watchdog tests.
+	// slot is granted and the champions are copied, under the grant's
+	// context — the injection point for hung-build watchdog tests.
 	buildHook func(context.Context)
 	// walCrashHook, when set (tests only), runs inside Feed after the WAL
 	// append succeeded but before the batch is enqueued and acknowledged —
@@ -539,20 +536,6 @@ type IngestService struct {
 	// the TraceStore and the field cleared before the constructor
 	// returns. Nil when no TraceStore is configured.
 	restoreRT *obs.RequestTrace
-}
-
-// staleKey identifies one retained last-good build. No stream position:
-// staleness is bounded by the policy, not invalidated by ingest.
-type staleKey struct {
-	qeps int64
-	algo Algorithm
-}
-
-// staleEntry is one retained certified build plus its provenance.
-type staleEntry struct {
-	q       *Coreset // canonical snapshot; serves clone from it
-	builtAt time.Time
-	streamN int
 }
 
 type errBox struct{ err error }
@@ -588,12 +571,9 @@ func NewIngestService(opts ServeOptions) (*IngestService, error) {
 	if o.QuotaPointsPerSec > 0 {
 		s.quota = newTokenBucket(o.QuotaPointsPerSec, o.QuotaBurst, o.clock)
 	}
-	if n := cacheCapacity(o.BuildCache, defaultServeCacheSize); n > 0 {
-		s.served = newResultCache[serveKey](n, s.met.cache)
-	}
-	if o.StaleServe != nil {
-		s.stale = make(map[staleKey]*staleEntry)
-	}
+	// A disabled cache (BuildCache < 0) still stores certified builds
+	// for the stale fallback, at the default capacity.
+	s.served = newResultCache(cacheCapacity(max(o.BuildCache, 0), defaultServeCacheSize), s.met.cache)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if o.TraceStore != nil {
 		// The restore journey gets a trace of its own, retained in the
@@ -1018,8 +998,9 @@ func (s *IngestService) streamPosition() (n int, version uint64) {
 }
 
 // champions returns copies of the summary's distinct champion points in
-// slot order, and the stream position they summarize.
-func (s *IngestService) champions() ([]Point, int) {
+// slot order, with the stream position they summarize and their
+// champion version, all read under one lock.
+func (s *IngestService) champions() ([]Point, int, uint64) {
 	s.sumMu.Lock()
 	defer s.sumMu.Unlock()
 	champs := s.sum.Coreset()
@@ -1027,7 +1008,7 @@ func (s *IngestService) champions() ([]Point, int) {
 	for i, p := range champs {
 		pts[i] = Point(p.Clone())
 	}
-	return pts, s.sum.N()
+	return pts, s.sum.N(), s.sum.Version()
 }
 
 // RestoredPoints returns the stream position recovered at startup — the
@@ -1086,11 +1067,7 @@ func (s *IngestService) checkpointSave(span *obs.Span) error {
 	st := s.sum.State()
 	s.sumMu.Unlock()
 	st.N = int(w)
-	sum, err := stream.FromState(st)
-	if err != nil {
-		return err
-	}
-	meta, err := s.store.Save(sum)
+	meta, err := s.store.Save(st)
 	if err != nil {
 		s.ckptFailures++
 		s.met.ckptFailures.Inc()
@@ -1102,15 +1079,15 @@ func (s *IngestService) checkpointSave(span *obs.Span) error {
 	}
 	older := s.lastCkptN
 	s.lastCkpt = meta
-	s.lastCkptN = sum.N()
+	s.lastCkptN = st.N
 	s.ckptFailures = 0
 	span.SetAttr("generation", strconv.FormatUint(meta.Generation, 10))
-	span.SetAttr("points", strconv.Itoa(sum.N()))
+	span.SetAttr("points", strconv.Itoa(st.N))
 	s.met.ckptSaves.Inc()
 	s.met.ckptDuration.Observe(time.Since(start).Seconds())
 	s.log.Debug("checkpoint saved",
 		slog.Uint64("generation", meta.Generation),
-		slog.Int("points", sum.N()),
+		slog.Int("points", st.N),
 		slog.Duration("took", time.Since(start)))
 	s.truncateWAL(uint64(older))
 	return nil
@@ -1193,18 +1170,6 @@ const defaultServeCacheSize = 32
 // compounding and operators should be paged.
 const degradedCheckpointFailures = 3
 
-// serveKey identifies one served build: the champion version the
-// request saw (a change of champion advances it, invalidating older
-// entries), the quantized ε, and the algorithm. A served build is a pure
-// function of the merged champions — Coreset returns them in slot order
-// and New runs on a fixed seed — so a hit returns bitwise what a rebuild
-// would.
-type serveKey struct {
-	version uint64
-	qeps    int64
-	algo    Algorithm
-}
-
 // Coreset builds a certified ε-coreset of the stream seen so far, under
 // admission control: builds wait for a slot in the service's scheduler,
 // and requests past its queue bound shed with ErrOverloaded. ctx —
@@ -1214,13 +1179,16 @@ type serveKey struct {
 // (ε, algorithm) pair CoresetCtx would reject fails before the cache or
 // the scheduler sees it.
 //
-// Unless disabled with ServeOptions.BuildCache, results are cached per
-// (champion version, quantized ε, algorithm) — a change of champion
-// invalidates them, ingest that changes none does not — and concurrent
-// identical requests share one underlying build; cached results (marked
-// Report.CacheHit, with fresh checkpoint provenance) bypass admission
-// control entirely — only the single underlying build takes a scheduler
-// slot.
+// Unless disabled with ServeOptions.BuildCache, a request is answered
+// from the last certified build of its (quantized ε, algorithm) when
+// that build copied the live champion version — a change of champion
+// invalidates it, ingest that changes none does not — and concurrent
+// identical requests share one underlying build. A served build is a
+// pure function of the champions (Coreset returns them in slot order and
+// New runs on a fixed seed), so a hit returns bitwise what a rebuild
+// would. Cached results (marked Report.CacheHit, with fresh checkpoint
+// provenance) bypass admission control entirely — only the single
+// underlying build takes a scheduler slot.
 //
 // The build refines the sketch's champion points with the batch
 // algorithms, so the end-to-end loss against the full stream composes
@@ -1253,12 +1221,17 @@ func (s *IngestService) Coreset(ctx context.Context, eps float64, algo Algorithm
 // coresetFresh is the non-degraded serve path: the serve-layer cache and
 // singleflight over buildServed.
 func (s *IngestService) coresetFresh(ctx context.Context, eps float64, algo Algorithm) (*Coreset, error) {
-	if s.served == nil {
-		return s.buildServed(ctx, eps, algo)
+	key := buildKey{algo: algo, qeps: quantizeEps(eps)}
+	if s.opts.BuildCache < 0 {
+		// No read hits, but the stale fallback still reads the store.
+		q, st, err := s.buildServed(ctx, eps, algo)
+		if err == nil {
+			s.served.put(key, q, st)
+		}
+		return q, err
 	}
 	n, version := s.streamPosition()
-	key := serveKey{version: version, qeps: quantizeEps(eps), algo: algo}
-	q, hit, err := s.served.do(ctx, key, func(ctx context.Context) (*Coreset, error) {
+	q, hit, err := s.served.do(ctx, key, version, func(ctx context.Context) (*Coreset, stamp, error) {
 		return s.buildServed(ctx, eps, algo)
 	})
 	if hit {
@@ -1302,53 +1275,41 @@ func staleReason(err error) string {
 	return "error"
 }
 
-// retainLastGood stores a deep snapshot of a freshly certified build as
-// the (ε, algorithm) fallback. Entries are only ever replaced by newer
-// builds, so provenance is monotone in stream position.
-func (s *IngestService) retainLastGood(eps float64, algo Algorithm, q *Coreset, streamN int) {
-	e := &staleEntry{q: snapshotCoreset(q), builtAt: s.opts.clock(), streamN: streamN}
-	s.staleMu.Lock()
-	s.stale[staleKey{qeps: quantizeEps(eps), algo: algo}] = e
-	s.staleMu.Unlock()
-}
-
-// tryStale serves the retained last-good coreset for (ε, algorithm) if
-// the policy allows: the fresh failure must be staleEligible and the
-// entry within the configured age and points-behind bounds. The result
-// is explicitly marked (Report.Stale, Report.Staleness) and counted —
-// degraded mode is never silent.
+// tryStale serves the stored coreset for (ε, algorithm), at whatever
+// champion version it was built, if the policy allows: the fresh failure
+// must be staleEligible and the entry within the configured age and
+// points-behind bounds. The result is explicitly marked (Report.Stale,
+// Report.Staleness) and counted — degraded mode is never silent.
 func (s *IngestService) tryStale(ctx context.Context, eps float64, algo Algorithm, cause error) (*Coreset, bool) {
 	pol := s.opts.StaleServe
 	if pol == nil || !staleEligible(cause) {
 		return nil, false
 	}
-	s.staleMu.Lock()
-	e := s.stale[staleKey{qeps: quantizeEps(eps), algo: algo}]
-	s.staleMu.Unlock()
-	if e == nil {
+	last, st, ok := s.served.latest(buildKey{algo: algo, qeps: quantizeEps(eps)})
+	if !ok {
 		return nil, false
 	}
-	age := s.opts.clock().Sub(e.builtAt)
-	behind := s.StreamN() - e.streamN
+	age := s.opts.clock().Sub(st.builtAt)
+	behind := s.StreamN() - st.streamN
 	if pol.MaxAge > 0 && age > pol.MaxAge {
 		return nil, false
 	}
 	if pol.MaxPointsBehind > 0 && behind > pol.MaxPointsBehind {
 		return nil, false
 	}
-	q := snapshotCoreset(e.q)
+	q := snapshotCoreset(last)
 	if q.Report != nil {
 		q.Report.Stale = true
 		q.Report.Staleness = &StalenessMeta{
-			BuiltAt:      e.builtAt,
+			BuiltAt:      st.builtAt,
 			Age:          age,
-			StreamN:      e.streamN,
+			StreamN:      st.streamN,
 			PointsBehind: behind,
 			Reason:       staleReason(cause),
 		}
 		// Provenance of the retained build's stream position, not the
 		// live one — the certified ε holds there.
-		q.Report.Checkpoint = s.checkpointMeta(e.streamN)
+		q.Report.Checkpoint = s.checkpointMeta(st.streamN)
 	}
 	// The degraded decision is an anomaly on the request trace: the
 	// span captures why the fresh build failed and what was served
@@ -1373,8 +1334,9 @@ func (s *IngestService) tryStale(ctx context.Context, eps float64, algo Algorith
 
 // buildServed runs one uncached served build under admission control:
 // requests queue in the service's scheduler, bounded per tenant, and are
-// granted in deficit round-robin order.
-func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algorithm) (*Coreset, error) {
+// granted in deficit round-robin order. The stamp is the provenance of
+// the champions the build copied.
+func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algorithm) (*Coreset, stamp, error) {
 	waitStart := time.Now()
 	bctx, grant, err := s.opts.sched.acquire(ctx, s.opts.Tenant, s.opts.weight)
 	if err != nil {
@@ -1383,7 +1345,7 @@ func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algor
 			s.met.serveShed.Inc()
 			s.log.Debug("build request shed by scheduler", slog.Any("error", err))
 		}
-		return nil, err
+		return nil, stamp{}, err
 	}
 	s.met.schedQueueWait.ObserveExemplar(time.Since(waitStart).Seconds(), obs.TraceIDOf(ctx))
 	s.met.schedGrants.Inc()
@@ -1401,25 +1363,25 @@ func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algor
 	bspan.SetAttr("eps", strconv.FormatFloat(eps, 'g', -1, 64))
 	bspan.SetAttr("algo", string(algo))
 
-	if s.buildHook != nil {
-		s.buildHook(ctx)
-	}
 	// summary-merge times the champion copy under the summary lock; the
 	// name is the one traces and dashboards already read.
 	mspan := bspan.StartChild("summary-merge")
 	mspan.SetAttr("directions", strconv.Itoa(s.opts.Directions))
-	pts, streamN := s.champions()
+	pts, streamN, version := s.champions()
 	mspan.SetAttr("champions", strconv.Itoa(len(pts)))
 	mspan.End()
+	if s.buildHook != nil {
+		s.buildHook(ctx)
+	}
 	if len(pts) == 0 {
-		return nil, fmt.Errorf("%w: no points ingested yet", ErrEmptyInput)
+		return nil, stamp{}, fmt.Errorf("%w: no points ingested yet", ErrEmptyInput)
 	}
 	// The Coreseter is single-use (the champion set changes with the
 	// stream), so its own build cache would never hit; the serve-layer
 	// cache above is the one that carries reuse.
 	cs, err := New(pts, WithSeed(s.opts.Seed), WithWorkers(s.opts.BuildWorkers), WithBuildCache(0))
 	if err != nil {
-		return nil, err
+		return nil, stamp{}, err
 	}
 	q, err := cs.CoresetCtx(ctx, eps, algo)
 	if err != nil && errors.Is(err, context.Canceled) &&
@@ -1455,10 +1417,7 @@ func (s *IngestService) buildServed(ctx context.Context, eps float64, algo Algor
 			bspan.AttachChild(ue.Report.Trace.Root)
 		}
 	}
-	if err == nil && s.stale != nil && q != nil && q.Report != nil && q.Report.Certified {
-		s.retainLastGood(eps, algo, q, streamN)
-	}
-	return q, err
+	return q, stamp{version: version, streamN: streamN, builtAt: s.opts.clock()}, err
 }
 
 // checkpointMeta captures the current durability provenance.

@@ -114,7 +114,7 @@ func (ss *StreamSummary) Merge(other *StreamSummary) error {
 // summary of the same parameters. For crash-safe on-disk checkpointing
 // with generation fallback, use the ingest service instead.
 func (ss *StreamSummary) WriteSnapshot(w io.Writer) error {
-	return snapshot.Encode(w, ss.s, snapshot.Meta{})
+	return snapshot.Encode(w, ss.s.State(), snapshot.Meta{})
 }
 
 // ReadStreamSummary restores a summary serialized by WriteSnapshot.

@@ -110,7 +110,9 @@ type TenantConfig struct {
 	QuotaPointsPerSec float64
 	QuotaBurst        int
 	// QueueSize and BuildCache override the registry defaults for this
-	// tenant's batch queue and served-coreset cache.
+	// tenant's batch queue and served-coreset cache (see
+	// ServeOptions.BuildCache: negative stops hits but still stores the
+	// builds the stale fallback reads).
 	QueueSize  int
 	BuildCache int
 	// SnapshotPath overrides the namespaced default of
@@ -151,7 +153,8 @@ type RegistryOptions struct {
 	// QueueSize is the per-tenant ingest queue default (256 batches).
 	QueueSize int
 	// BuildCache is the per-tenant served-coreset cache default
-	// (0 = 32 entries, negative disables).
+	// (0 = 32 (ε, algorithm) pairs; negative disables hits, while the
+	// stale fallback still reads the stored builds).
 	BuildCache int
 	// Logger receives every tenant's structured logs (each record
 	// carries a tenant attribute). Nil discards.
