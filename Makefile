@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-workers bench-json bench-cache bench-speed faults fuzz chaos tenants degrade wal trace speed
+.PHONY: build test vet race verify bench bench-workers bench-json bench-speed faults fuzz chaos tenants degrade wal trace speed
 
 build:
 	$(GO) build ./...
@@ -113,12 +113,6 @@ bench-workers:
 # disabled-vs-enabled overhead, and the post-run metric counters.
 bench-json:
 	./scripts/bench_json.sh
-
-# Regenerate the cache benchmark snapshot (BENCH_cache.json): warm-vs-
-# cold ns/op for repeated identical builds (>= 50x required) and the
-# FixedSize full-build counts with and without a primed cache.
-bench-cache:
-	./scripts/bench_cache.sh
 
 # Regenerate the raw-speed snapshot (BENCH_speed.json): cold DG build
 # baseline vs pooled+warm-started (>= 5x speedup and >= 5x fewer allocs

@@ -4,6 +4,7 @@ package mincore
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mincore/internal/data"
@@ -51,7 +52,7 @@ func TestAutoSCMCNoLargerThanDSMCHighD(t *testing.T) {
 			if qs.Size() >= cs.NumExtreme() {
 				t.Errorf("%s: SCMC returned all %d extreme points", label, qs.Size())
 			}
-			if !sameIndices(qa.Indices, qs.Indices) {
+			if !slices.Equal(qa.Indices, qs.Indices) {
 				t.Errorf("%s: Auto |Q| %d is not SCMC's set (|Q| %d)", label, qa.Size(), qs.Size())
 			}
 		}

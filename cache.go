@@ -32,13 +32,15 @@ import (
 //     re-enter, and one of them becomes the new leader under its own
 //     (still live) context.
 //
-// Soundness: only certified results (or SkipCertify results, which carry
-// their measured loss either way) are stored, and certification always
-// measures on the original instance, so a cached coreset is exactly as
-// valid as a fresh one. Errors are never cached; a failed build is
-// retried by the next request. Cached and fresh results are bitwise
-// identical — the determinism contract the package already documents for
-// worker counts extends to the cache, and tests enforce it.
+// Soundness: only certified results are stored, and certification
+// always measures on the original instance, so a cached coreset is
+// exactly as valid as a fresh one. Errors are never cached; a failed
+// build is retried by the next request. Cached and fresh results are
+// bitwise identical — the determinism contract the package already
+// documents for worker counts extends to the cache, and tests enforce
+// it. The cache answers requests and never steers one, so no answer
+// depends on what was built before: FixedSize probes the same ε values
+// on a warm Coreseter as on a fresh one.
 
 // epsQuantum is the grid ε is quantized to for cache keys. It matches
 // certTol: two ε values closer than the certification tolerance are the
@@ -235,17 +237,6 @@ func (c *resultCache) put(key buildKey, q *Coreset, st stamp) *Coreset {
 	return snap
 }
 
-// forEach visits every cached entry, most-recently-used first, under the
-// cache lock; f must not call back into the cache.
-func (c *resultCache) forEach(f func(buildKey, *Coreset)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		f(e.key, e.q)
-	}
-}
-
 // len returns the number of cached entries.
 func (c *resultCache) len() int {
 	c.mu.Lock()
@@ -309,39 +300,4 @@ func cacheCapacity(configured, def int) int {
 	default:
 		return configured
 	}
-}
-
-// cachedDualSeed exploits size-monotonicity to shrink the dual binary
-// search's ε bracket from cached builds: a cached result of at most r
-// points is feasible and bounds the search from above; a larger one
-// bounds it from below. It also returns the smallest-ε feasible cached
-// result (a private clone) so a fully collapsed bracket — every probe
-// already answered by the cache — can return without a single build.
-// Greedy size noise can produce a crossed bracket; that falls back to
-// the full (0,1) with no seed, matching DualSolve's own tolerance for
-// monotonicity hiccups.
-func (c *Coreseter) cachedDualSeed(algo Algorithm, r int) (lo, hi float64, seed *Coreset) {
-	lo, hi = 0, 1
-	var seedSrc *Coreset
-	c.cache.forEach(func(k buildKey, q *Coreset) {
-		if k.algo != algo {
-			return
-		}
-		eps := float64(k.qeps) * epsQuantum
-		if len(q.Indices) <= r {
-			if eps < hi {
-				hi = eps
-				seedSrc = q
-			}
-		} else if eps > lo {
-			lo = eps
-		}
-	})
-	if !(lo < hi) {
-		return 0, 1, nil
-	}
-	if seedSrc != nil {
-		seed = cloneCachedCoreset(seedSrc)
-	}
-	return lo, hi, seed
 }

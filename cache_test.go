@@ -5,11 +5,15 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mincore/internal/data"
+	"mincore/internal/faultinject"
+	"mincore/internal/geom"
 	"mincore/internal/obs"
 )
 
@@ -18,7 +22,7 @@ import (
 // cache must preserve.
 func samePointsBitwise(t *testing.T, a, b *Coreset) {
 	t.Helper()
-	if !sameIndices(a.Indices, b.Indices) {
+	if !slices.Equal(a.Indices, b.Indices) {
 		t.Fatalf("indices differ: %v vs %v", a.Indices, b.Indices)
 	}
 	if math.Float64bits(a.Loss) != math.Float64bits(b.Loss) {
@@ -128,7 +132,7 @@ func TestBuildCacheHitsAreIsolatedClones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIndices(q2.Indices, wantIdx) {
+	if !slices.Equal(q2.Indices, wantIdx) {
 		t.Fatalf("cached result was corrupted by a caller mutation: %v vs %v", q2.Indices, wantIdx)
 	}
 	if q2.Report.Checkpoint != nil {
@@ -139,7 +143,7 @@ func TestBuildCacheHitsAreIsolatedClones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIndices(q3.Indices, wantIdx) {
+	if !slices.Equal(q3.Indices, wantIdx) {
 		t.Fatal("hit clone aliased the cached entry")
 	}
 }
@@ -266,7 +270,7 @@ func TestResultCacheLeaderCancelHandoff(t *testing.T) {
 	if ferr != nil {
 		t.Fatalf("follower must survive the leader's cancellation, got %v", ferr)
 	}
-	if fq == nil || !sameIndices(fq.Indices, want.Indices) {
+	if fq == nil || !slices.Equal(fq.Indices, want.Indices) {
 		t.Fatalf("follower result corrupted: %+v", fq)
 	}
 	if n := followerBuilds.Load(); n != 1 {
@@ -277,7 +281,7 @@ func TestResultCacheLeaderCancelHandoff(t *testing.T) {
 		t.Fatal("key should be cached; build must not run")
 		return nil, stamp{}, nil
 	})
-	if err != nil || !hit || !sameIndices(q.Indices, want.Indices) {
+	if err != nil || !hit || !slices.Equal(q.Indices, want.Indices) {
 		t.Fatalf("post-handoff lookup: q=%+v hit=%v err=%v", q, hit, err)
 	}
 }
@@ -352,16 +356,17 @@ func TestResultCacheLRUEviction(t *testing.T) {
 		t.Fatal("oldest entry should have been evicted")
 	}
 	for _, k := range []int{1, 2} {
-		if q, _, ok := rc.latest(key(k)); !ok || !sameIndices(q.Indices, mk(k).Indices) {
+		if q, _, ok := rc.latest(key(k)); !ok || !slices.Equal(q.Indices, mk(k).Indices) {
 			t.Fatalf("entry %d should have survived", k)
 		}
 	}
 }
 
-// TestFixedSizeBracketShrinksWithCache asserts the dual search issues
-// strictly fewer full builds once the cache holds probe results — and
-// none at all on an identical repeat — while returning the same coreset.
-func TestFixedSizeBracketShrinksWithCache(t *testing.T) {
+// TestFixedSizeRepeatServedFromCache asserts that an identical repeat
+// of the dual search runs no build at all — its probes are the first
+// call's ε values, each one a cache hit — and returns the same coreset
+// as the first call and as a Coreseter without a cache.
+func TestFixedSizeRepeatServedFromCache(t *testing.T) {
 	pts := randomPoints(300, 2, 7)
 	cold, err := New(pts, WithSeed(3), WithBuildCache(0))
 	if err != nil {
@@ -390,14 +395,140 @@ func TestFixedSizeBracketShrinksWithCache(t *testing.T) {
 	}
 	repeatBuilds := mCacheMissesBuild.Value() - missBefore
 	if repeatBuilds >= firstBuilds {
-		t.Fatalf("repeat FixedSize ran %d builds, first ran %d — bracket not exploited", repeatBuilds, firstBuilds)
+		t.Fatalf("repeat FixedSize ran %d builds, first ran %d — want fewer", repeatBuilds, firstBuilds)
 	}
 	if repeatBuilds != 0 {
-		t.Fatalf("repeat FixedSize should be answered from cache, ran %d builds", repeatBuilds)
+		t.Fatalf("repeat FixedSize should be answered from the cache, ran %d builds", repeatBuilds)
 	}
 	samePointsBitwise(t, q1, q2)
 	if !q2.Report.Certified {
 		t.Fatal("repeat result lost certification")
+	}
+}
+
+// TestFixedSizeIgnoresCacheHistory asserts that the dual search's answer
+// does not depend on what the Coreseter built before: after an ε ladder
+// of the same algorithm, FixedSize returns bitwise what it returns on a
+// fresh Coreseter and on one without a cache — indices, loss bits and ε
+// bits.
+func TestFixedSizeIgnoresCacheHistory(t *testing.T) {
+	cases := []struct {
+		name   string
+		pts    []geom.Vector
+		budget int
+		algo   Algorithm
+	}{
+		{"normal-d5/scmc", data.Normal(2000, 5, 5).Points, 40, SCMC},
+		{"normal-d3/dsmc", data.Normal(2000, 3, 1).Points, 20, DSMC},
+		{"normal-d2/optmc", data.Normal(3000, 2, 3).Points, 12, OptMC},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pts := toPoints(tc.pts)
+			fixed := func(prior []float64, opts ...Option) *Coreset {
+				t.Helper()
+				cs, err := New(pts, append([]Option{WithSeed(7)}, opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, eps := range prior {
+					if _, err := cs.Coreset(eps, tc.algo); err != nil {
+						t.Fatalf("Coreset(%g): %v", eps, err)
+					}
+				}
+				q, err := cs.FixedSize(tc.budget, tc.algo)
+				if err != nil {
+					t.Fatalf("FixedSize(%d): %v", tc.budget, err)
+				}
+				return q
+			}
+			fresh := fixed(nil)
+			for name, q := range map[string]*Coreset{
+				"after the ladder": fixed([]float64{0.20, 0.10, 0.05, 0.02}),
+				"without a cache":  fixed(nil, WithBuildCache(0)),
+			} {
+				if !slices.Equal(q.Indices, fresh.Indices) ||
+					math.Float64bits(q.Loss) != math.Float64bits(fresh.Loss) ||
+					math.Float64bits(q.Eps) != math.Float64bits(fresh.Eps) {
+					t.Errorf("%s: |Q| %d loss %v ε %v, fresh |Q| %d loss %v ε %v", name,
+						q.Size(), q.Loss, q.Eps, fresh.Size(), fresh.Loss, fresh.Eps)
+				}
+			}
+		})
+	}
+}
+
+// TestFixedSizeReportsWinningProbe asserts that FixedSize reports how
+// the coreset it returns was built: with every dominance-graph build
+// failing, each DSMC probe retries and falls back to SCMC, and the
+// result says so, exactly as a Coreset call at the ε it found does.
+func TestFixedSizeReportsWinningProbe(t *testing.T) {
+	pts := randomPoints(300, 3, 5)
+	cs, err := New(pts, WithSeed(3), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(pts, WithSeed(3), WithWorkers(1), WithBuildCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Enable(faultinject.Config{Rate: 1, Sites: []faultinject.Site{faultinject.SiteDGBuild}})
+	defer faultinject.Disable()
+
+	q, err := cs.FixedSize(15, DSMC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"retry(dsmc)#1", "fallback(scmc)"}
+	if q.Report.Algorithm != SCMC || q.Algorithm != SCMC || !slices.Equal(q.Report.Fallbacks, want) {
+		t.Fatalf("FixedSize reports algorithm %s (coreset %s), trail %v; want scmc, %v",
+			q.Report.Algorithm, q.Algorithm, q.Report.Fallbacks, want)
+	}
+	if q.Report.Requested != DSMC || q.Report.Retries != 1 || !q.Report.Certified || q.Report.CacheHit {
+		t.Fatalf("report %+v: want requested dsmc, 1 retry, certified, no cache hit", q.Report)
+	}
+	at, err := ref.Coreset(q.Eps, DSMC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePointsBitwise(t, at, q)
+	if !slices.Equal(at.Report.Fallbacks, q.Report.Fallbacks) {
+		t.Fatalf("Coreset at ε %v has trail %v, FixedSize %v", q.Eps, at.Report.Fallbacks, q.Report.Fallbacks)
+	}
+}
+
+// TestBuildCacheWarmHitSpeedup gates what the cache is for: a hit must
+// be at least 50× faster than the cold DSMC build it replays (its
+// dominance graph included). The median of about 100 hits is compared
+// with the first build on a fresh Coreseter.
+func TestBuildCacheWarmHitSpeedup(t *testing.T) {
+	cs, err := New(toPoints(data.Normal(2000, 4, 7).Points), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := cs.Coreset(0.1, DSMC); err != nil {
+		t.Fatal(err)
+	}
+	cold := time.Since(start)
+	hits := make([]time.Duration, 101)
+	for i := range hits {
+		start := time.Now()
+		q, err := cs.Coreset(0.1, DSMC)
+		hits[i] = time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !q.Report.CacheHit {
+			t.Fatalf("repeat %d was not a cache hit", i)
+		}
+	}
+	slices.Sort(hits)
+	warm := max(hits[len(hits)/2], time.Nanosecond)
+	speedup := float64(cold) / float64(warm)
+	t.Logf("cold build %v, median hit %v: %.0f×", cold, warm, speedup)
+	if speedup < 50 {
+		t.Fatalf("warm hit speedup %.1f× (cold %v, median hit %v), want >= 50×", speedup, cold, warm)
 	}
 }
 

@@ -16,6 +16,7 @@ package mincore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -762,5 +763,57 @@ func checkpointPrefixRun(t *testing.T, run int64) {
 	}
 	if !bytes.Equal(walSummaryBytes(t, svc2), encode(ref)) {
 		t.Fatalf("run %d: restored summary at %d differs from an uninterrupted run", run, n)
+	}
+}
+
+// TestServeWALCheckpointDoesNotBlockReads holds a checkpoint inside its
+// save and asserts that a cache-hit read and Stats still answer: a read
+// stamps the last generation's provenance, and that must not wait for
+// the encode, fsyncs and renames of the next one.
+func TestServeWALCheckpointDoesNotBlockReads(t *testing.T) {
+	svc, err := NewIngestService(walChaosOptions(t.TempDir()))
+	if err != nil {
+		t.Fatalf("service: %v", err)
+	}
+	defer svc.Kill()
+	pts := servePoints(500, 3)
+	if err := svc.Feed(pts...); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, svc, int64(len(pts)))
+	ctx := context.Background()
+	if _, err := svc.Coreset(ctx, 0.1, Auto); err != nil {
+		t.Fatal(err)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	svc.saveHook = func() {
+		close(entered)
+		<-release
+	}
+	saved := make(chan error, 1)
+	go func() { saved <- svc.Checkpoint() }()
+	<-entered
+
+	read := make(chan error, 1)
+	go func() {
+		q, err := svc.Coreset(ctx, 0.1, Auto)
+		if err == nil && !q.Report.CacheHit {
+			err = errors.New("the read was not a cache hit")
+		}
+		svc.Stats()
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("a cache-hit read and Stats still wait after 2 s for a checkpoint held in its save")
+	}
+	close(release)
+	if err := <-saved; err != nil {
+		t.Fatalf("checkpoint: %v", err)
 	}
 }

@@ -48,8 +48,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "worker-pool size for the parallel hot paths (0 = GOMAXPROCS, 1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "abort the solve after this long (0 = no limit)")
-	certify := flag.Bool("certify", true, "verify the result against ε and repair (retry, fall back) on failure")
-	maxRetries := flag.Int("max-retries", 0, "re-seeded retries per repair step (0 = default of 1, negative = none)")
 	trace := flag.Bool("trace", false, "print the phase-span tree of the build (durations per phase)")
 	out := flag.String("out", "", "write coreset points to this CSV file")
 	flag.Parse()
@@ -61,9 +59,7 @@ func main() {
 		fatal(err)
 	}
 	start := time.Now()
-	cs, err := mincore.New(pts,
-		mincore.WithSeed(*seed), mincore.WithWorkers(*workers),
-		mincore.WithCertification(*certify), mincore.WithMaxRetries(*maxRetries))
+	cs, err := mincore.New(pts, mincore.WithSeed(*seed), mincore.WithWorkers(*workers))
 	if err != nil {
 		fatal(err)
 	}

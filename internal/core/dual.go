@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // The dual formulation of MC (Section 2): given a size budget r, find a
@@ -17,45 +16,30 @@ import (
 type Solver func(eps float64) ([]int, error)
 
 // DualSolve finds the smallest ε (within 2^-iters resolution) whose
-// coreset has at most r points, returning that coreset and its ε. The
-// solver is assumed size-monotone in ε, which all algorithms here are up
-// to greedy noise; the best (smallest-ε) feasible solution seen is
-// returned even if monotonicity hiccups.
+// coreset has at most r points, returning that coreset and its ε. It
+// bisects (0, 1) with iters probes at dyadic ε values, so the ε values
+// it probes depend on the solver's answers alone. The solver is assumed
+// size-monotone in ε, which all algorithms here are up to greedy noise;
+// the best (smallest-ε) feasible solution seen is returned even if
+// monotonicity hiccups. A solver error steers the search like an
+// over-budget answer, except a cancelled context, which aborts it.
 func DualSolve(r int, solve Solver, iters int) ([]int, float64, error) {
-	return DualSolveBracket(r, solve, iters, 0, 1)
-}
-
-// DualSolveBracket is DualSolve restricted to a caller-supplied initial
-// bracket (lo, hi] ⊆ (0, 1] — typically pre-shrunk from memoized builds
-// via size-monotonicity: a known-feasible ε bounds the search from
-// above, a known-infeasible one from below. The search stops when the
-// bracket width reaches the same 2^-iters resolution the full search
-// would, so a tighter starting bracket issues strictly fewer probes
-// (possibly none, when it is already at resolution — callers holding a
-// feasible result for hi should fall back to it on ErrInfeasible). An
-// invalid bracket falls back to the full (0, 1).
-func DualSolveBracket(r int, solve Solver, iters int, lo, hi float64) ([]int, float64, error) {
 	if r < 1 {
 		return nil, 0, fmt.Errorf("core: dual size budget must be ≥ 1, got %d", r)
 	}
 	if iters <= 0 {
 		iters = 20
 	}
-	if !(lo >= 0 && hi <= 1 && lo < hi) {
-		lo, hi = 0, 1
-	}
-	res := math.Ldexp(1, -iters) // bracket resolution of the full search
+	lo, hi := 0.0, 1.0
 	var best []int
 	bestEps := 1.0
 	found := false
-	for k := 0; k < iters && hi-lo > res; k++ {
+	for k := 0; k < iters; k++ {
 		mid := (lo + hi) / 2
 		if mid <= 0 || mid >= 1 {
 			break
 		}
 		q, err := solve(mid)
-		// A solver failure normally just means "infeasible at this ε" and
-		// steers the search, but a cancelled context aborts it outright.
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, 0, err
 		}

@@ -100,15 +100,7 @@ type Options struct {
 	// 0 selects GOMAXPROCS, 1 forces sequential execution. Outputs are
 	// bitwise identical for every worker count.
 	Workers int
-	// MaxRetries bounds the re-seeded perturbation retries per fallback
-	// chain entry in the repair pipeline: 0 selects the default of 1,
-	// negative disables retries.
-	MaxRetries int
-	// SkipCertify disables the verify-and-repair pipeline: builds run
-	// once, attach a report, and return their result even when the
-	// measured loss exceeds ε.
-	SkipCertify bool
-	// BuildCache bounds the memoized build cache: successful results are
+	// BuildCache bounds the memoized build cache: certified results are
 	// kept in an LRU keyed by (algorithm, quantized ε) and concurrent
 	// identical builds are deduplicated by per-key singleflight. 0 selects
 	// the default capacity (64 entries); negative disables caching.
@@ -395,60 +387,12 @@ func (c *Coreseter) CoresetCtx(ctx context.Context, eps float64, algo Algorithm)
 	if c.cache != nil && eps > 0 && eps < 1 {
 		q, _, err := c.cache.do(ctx, buildKey{algo: algo, qeps: quantizeEps(eps)}, 0,
 			func(ctx context.Context) (*Coreset, stamp, error) {
-				q, err := c.buildOnce(ctx, eps, algo, "miss")
+				q, err := c.buildCertified(ctx, eps, algo, "miss")
 				return q, stamp{}, err
 			})
 		return q, err
 	}
-	return c.buildOnce(ctx, eps, algo, "")
-}
-
-// buildOnce performs one uncached build (SkipCertify single pass or the
-// full verify-and-repair pipeline). cacheState, when non-empty, is
-// recorded as the root span's cache attr ("miss": built on behalf of the
-// cache).
-func (c *Coreseter) buildOnce(ctx context.Context, eps float64, algo Algorithm, cacheState string) (*Coreset, error) {
-	if !c.opts.SkipCertify {
-		return c.buildCertified(ctx, eps, algo, cacheState)
-	}
-	start := time.Now()
-	tr := obs.NewTrace("build")
-	tr.Root.SetAttr("requested", string(algo))
-	tr.Root.SetAttr("eps", fmt.Sprintf("%g", eps))
-	if cacheState != "" {
-		tr.Root.SetAttr("cache", cacheState)
-	}
-	sp := tr.Root.StartChild(fmt.Sprintf("attempt(%s)#1", algo))
-	mBuildAttempts.Inc()
-	bsp := sp.StartChild("build-indices")
-	idx, err := c.buildIndices(ctx, c.inst, eps, algo, bsp)
-	if err != nil {
-		bsp.SetAttr("error", err.Error())
-	}
-	bsp.End()
-	if err != nil {
-		return nil, err
-	}
-	// The loss is still measured (it is part of the result), just not
-	// enforced; the span keeps the name so traces read uniformly.
-	msp := sp.StartChild("measure-loss")
-	q, err := c.wrap(ctx, idx, eps, algo)
-	if err != nil {
-		msp.SetAttr("error", err.Error())
-		msp.End()
-		return nil, err
-	}
-	msp.SetAttr("loss", fmt.Sprintf("%.6g", q.Loss))
-	msp.End()
-	sp.End()
-	tr.Root.SetAttr("algorithm", string(algo))
-	tr.Root.End()
-	q.Report = &BuildReport{
-		Requested: algo, Algorithm: algo, Eps: eps,
-		CertifiedLoss: q.Loss, Certified: q.Loss <= eps+certTol,
-		Attempts: 1, Wall: time.Since(start), Trace: tr,
-	}
-	return q, nil
+	return c.buildCertified(ctx, eps, algo, "")
 }
 
 func (c *Coreseter) wrap(ctx context.Context, idx []int, eps float64, algo Algorithm) (*Coreset, error) {
@@ -482,26 +426,27 @@ func (c *Coreseter) FixedSize(r int, algo Algorithm) (*Coreset, error) {
 }
 
 // FixedSizeCtx is FixedSize with cooperative cancellation of the binary
-// search and every coreset construction inside it. Each construction
-// runs the full verify-and-repair pipeline; the returned coreset carries
-// a report certifying its measured loss against the ε the search found.
-// A budget no ε ∈ (0,1) can meet returns an error wrapping
-// ErrInfeasible.
-//
-// With the build cache enabled the search exploits size-monotonicity:
-// cached results at other ε values shrink the initial bracket (a cached
-// coreset of ≤ r points bounds it from above, a larger one from below),
-// so repeated or nearby fixed-size queries issue strictly fewer full
-// builds than the cold 20-probe search — often none at all.
+// search and every coreset construction inside it. The search bisects
+// (0, 1) with 20 probes; each probe is a certified CoresetCtx build at
+// its ε, so it goes through the build cache, and the result is the
+// winning probe's coreset: its indices, ε and measured loss, with the
+// probe's own algorithm, retries and fallback trail in the report. The
+// report's Attempts counts the probes, Wall covers the whole search and
+// Trace is the tree of probe spans. Which ε values it probes depends
+// only on the budget and the data, so the answer does not depend on
+// what the Coreseter built before, and an identical repeat is answered
+// by cache hits alone. A budget no ε ∈ (0,1) can meet returns an error
+// wrapping ErrInfeasible.
 func (c *Coreseter) FixedSizeCtx(ctx context.Context, r int, algo Algorithm) (*Coreset, error) {
 	start := time.Now()
 	tr := obs.NewTrace("fixed-size-build")
 	tr.Root.SetAttr("requested", string(algo))
 	tr.Root.SetAttr("budget", fmt.Sprintf("%d", r))
-	attempts := 0
+	probes := 0
+	built := make(map[float64]*Coreset) // certified probe results by ε
 	solve := func(eps float64) ([]int, error) {
-		attempts++
-		psp := tr.Root.StartChild(fmt.Sprintf("probe#%d", attempts))
+		probes++
+		psp := tr.Root.StartChild(fmt.Sprintf("probe#%d", probes))
 		psp.SetAttr("eps", fmt.Sprintf("%.6g", eps))
 		q, err := c.CoresetCtx(ctx, eps, algo)
 		if err != nil {
@@ -509,76 +454,27 @@ func (c *Coreseter) FixedSizeCtx(ctx context.Context, r int, algo Algorithm) (*C
 			psp.End()
 			return nil, err
 		}
+		built[eps] = q
 		psp.SetAttr("size", fmt.Sprintf("%d", len(q.Indices)))
-		if q.Report != nil && q.Report.CacheHit {
+		if q.Report.CacheHit {
 			psp.SetAttr("cache", "hit")
 		}
 		psp.End()
 		return q.Indices, nil
 	}
-	lo, hi := 0.0, 1.0
-	var seed *Coreset
-	if c.cache != nil {
-		lo, hi, seed = c.cachedDualSeed(algo, r)
-		if lo > 0 || hi < 1 {
-			tr.Root.SetAttr("bracket", fmt.Sprintf("(%.6g,%.6g]", lo, hi))
-		}
-	}
-	idx, eps, err := core.DualSolveBracket(r, solve, 20, lo, hi)
-	if err != nil && seed != nil && errors.Is(err, ErrInfeasible) {
-		// Every probe the shrunk bracket allowed was already answered by
-		// the cache (or the bracket collapsed entirely): the cached
-		// feasible result at the bracket's upper edge is the answer.
-		idx, eps, err = seed.Indices, seed.Eps, nil
-	}
+	_, eps, err := core.DualSolve(r, solve, 20)
+	tr.Root.End()
 	if err != nil {
-		tr.Root.End()
 		return nil, err
 	}
-	csp := tr.Root.StartChild("certify")
-	var q *Coreset
-	if seed != nil && seed.Eps == eps && sameIndices(seed.Indices, idx) {
-		// The winning coreset is the cached seed; its certified loss was
-		// measured on the original instance when it was built, so re-
-		// measuring would reproduce it bit for bit.
-		q = seed
-		csp.SetAttr("cache", "hit")
-	} else {
-		q, err = c.wrap(ctx, idx, eps, algo)
-		if err != nil {
-			csp.SetAttr("error", err.Error())
-			csp.End()
-			tr.Root.End()
-			return nil, err
-		}
-	}
-	csp.SetAttr("loss", fmt.Sprintf("%.6g", q.Loss))
-	csp.End()
-	tr.Root.End()
-	rep := &BuildReport{
-		Requested: algo, Algorithm: algo, Eps: eps,
-		CertifiedLoss: q.Loss, Certified: q.Loss <= eps+certTol,
-		Attempts: attempts, Wall: time.Since(start), Trace: tr,
-	}
-	q.Report = rep
-	if !rep.Certified && !c.opts.SkipCertify {
-		return nil, &UncertifiedError{Coreset: q, Report: rep,
-			Err: fmt.Errorf("mincore: fixed-size result measured loss %.6g > ε = %g", q.Loss, eps)}
-	}
+	q := built[eps]
+	rep := *q.Report
+	rep.Attempts = probes
+	rep.Wall = time.Since(start)
+	rep.CacheHit = false
+	rep.Trace = tr
+	q.Report = &rep
 	return q, nil
-}
-
-// sameIndices reports whether two index slices are element-wise equal.
-func sameIndices(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // CoresetSweep builds certified coresets for a ladder of ε values in one

@@ -67,42 +67,6 @@ func TestTraceOnCertifiedBuild(t *testing.T) {
 	}
 }
 
-// A single-pass build is a fresh build like a certified one: a nonzero
-// Wall (zero marks a cache hit), one counted attempt, and the algorithm
-// on the trace root.
-func TestTraceOnSkipCertify(t *testing.T) {
-	cs, err := mincore.New(faultPoints(200, 2, 13),
-		mincore.WithSeed(13), mincore.WithWorkers(1), mincore.WithCertification(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	attempts := obs.Default.Counter("mincore_build_attempts_total",
-		"Build attempts across first tries, retries, and fallbacks.", nil)
-	before := attempts.Value()
-	q, err := cs.Coreset(0.1, mincore.SCMC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := attempts.Value() - before; got != uint64(q.Report.Attempts) || got != 1 {
-		t.Errorf("mincore_build_attempts_total moved by %d, Report.Attempts %d; want 1", got, q.Report.Attempts)
-	}
-	if q.Report.Wall <= 0 {
-		t.Errorf("Report.Wall = %v on a fresh build", q.Report.Wall)
-	}
-	tr := q.Report.Trace
-	if tr == nil {
-		t.Fatal("skip-certify build report has no trace")
-	}
-	if got := tr.Root.Attr("algorithm"); got != string(mincore.SCMC) {
-		t.Errorf("trace root algorithm = %q, want %q", got, mincore.SCMC)
-	}
-	requireSpan(t, tr, "attempt(scmc)#1")
-	requireSpan(t, tr, "measure-loss")
-	if tr.Find("certify") != nil {
-		t.Error("skip-certify build should not have a certify span")
-	}
-}
-
 func TestTraceOnFixedSizeBuild(t *testing.T) {
 	cs, err := mincore.New(faultPoints(200, 2, 17), mincore.WithSeed(17), mincore.WithWorkers(1))
 	if err != nil {
@@ -176,9 +140,8 @@ func TestTraceThroughFallbackChain(t *testing.T) {
 
 // TestTraceAttrsSetBeforeSpanEnd pins the trace-lifecycle fix: every
 // build flavor must finish with zero late-attr events, and the attrs
-// that used to be written after End — the skip-certify measure-loss
-// loss, the fixed-size probe eps/size, the certify loss — must actually
-// be present on their (ended) spans.
+// that used to be written after End — the fixed-size probe eps/size,
+// the certify loss — must actually be present on their (ended) spans.
 func TestTraceAttrsSetBeforeSpanEnd(t *testing.T) {
 	requireClean := func(t *testing.T, tr *obs.Trace) {
 		t.Helper()
@@ -203,23 +166,6 @@ func TestTraceAttrsSetBeforeSpanEnd(t *testing.T) {
 		cert := requireSpan(t, q.Report.Trace, "certify")
 		if !cert.Ended() || cert.Attr("loss") == "" {
 			t.Errorf("certify span: ended=%v loss=%q, want ended with loss set", cert.Ended(), cert.Attr("loss"))
-		}
-	})
-
-	t.Run("skip-certify", func(t *testing.T) {
-		cs, err := mincore.New(faultPoints(200, 2, 23),
-			mincore.WithSeed(23), mincore.WithWorkers(1), mincore.WithCertification(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := cs.Coreset(0.1, mincore.SCMC)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireClean(t, q.Report.Trace)
-		msp := requireSpan(t, q.Report.Trace, "measure-loss")
-		if !msp.Ended() || msp.Attr("loss") == "" {
-			t.Errorf("measure-loss span: ended=%v loss=%q, want ended with loss set", msp.Ended(), msp.Attr("loss"))
 		}
 	})
 

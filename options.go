@@ -54,21 +54,7 @@ func WithPerturbScale(scale float64) Option {
 	return optionFunc(func(o *Options) { o.PerturbScale = scale })
 }
 
-// WithMaxRetries bounds the re-seeded perturbation retries the repair
-// pipeline makes per fallback-chain entry: 0 selects the default of 1,
-// negative disables retries entirely.
-func WithMaxRetries(n int) Option {
-	return optionFunc(func(o *Options) { o.MaxRetries = n })
-}
-
-// WithCertification toggles the verify-and-repair pipeline (on by
-// default). With certification off, builds run once and return their
-// result with a report even when the measured loss exceeds ε.
-func WithCertification(enabled bool) Option {
-	return optionFunc(func(o *Options) { o.SkipCertify = !enabled })
-}
-
-// WithBuildCache bounds the memoized build cache: successful results are
+// WithBuildCache bounds the memoized build cache: certified results are
 // kept in an LRU keyed by (algorithm, quantized ε), and concurrent
 // identical builds are deduplicated through per-key singleflight.
 // n is the entry capacity; n <= 0 disables caching entirely (every call

@@ -32,18 +32,9 @@ import (
 // Structural errors (wrong dimension, cancelled context) abort
 // immediately: repair is for numerical failures, not caller mistakes.
 
-// maxRetries resolves Options.MaxRetries: 0 means the default of one
-// re-seeded retry per chain entry, negative disables retries.
-func (c *Coreseter) maxRetries() int {
-	switch {
-	case c.opts.MaxRetries < 0:
-		return 0
-	case c.opts.MaxRetries == 0:
-		return 1
-	default:
-		return c.opts.MaxRetries
-	}
-}
+// repairRetries is the number of re-seeded perturbation retries the
+// pipeline makes per fallback-chain entry.
+const repairRetries = 1
 
 // fallbackChain returns the escalation order for a requested algorithm,
 // starting with the algorithm itself. Later entries trade optimality for
@@ -117,7 +108,6 @@ func (c *Coreseter) buildCertified(ctx context.Context, eps float64, algo Algori
 	if algo == Auto && c.Dim() == 1 {
 		certEps = math.Max(eps, 0) // loss of the 1D 0-coreset is exactly 0
 	}
-	retries := c.maxRetries()
 	var best *Coreset
 	var attemptErrs []error
 	for _, a := range fallbackChain(algo) {
@@ -125,7 +115,7 @@ func (c *Coreseter) buildCertified(ctx context.Context, eps float64, algo Algori
 			rep.Fallbacks = append(rep.Fallbacks, "fallback("+string(a)+")")
 			mFallbackHops.Inc()
 		}
-		for attempt := 0; attempt <= retries; attempt++ {
+		for attempt := 0; attempt <= repairRetries; attempt++ {
 			if err := ctx.Err(); err != nil {
 				tr.Root.End()
 				return nil, err

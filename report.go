@@ -51,12 +51,14 @@ type BuildReport struct {
 	CertifiedLoss float64
 	Certified     bool
 	// Attempts counts every build attempt (first tries, retries, and
-	// fallbacks); Retries counts only the re-seeded perturbation retries.
+	// fallbacks), or FixedSize's probes; Retries counts only the
+	// re-seeded perturbation retries.
 	Attempts, Retries int
 	// Fallbacks lists the escalation steps taken, in order, e.g.
 	// "retry(dsmc)#1" or "fallback(scmc)". Empty for a clean first build.
 	Fallbacks []string
-	// Wall is the total wall-clock time of the pipeline.
+	// Wall is the total wall-clock time of the pipeline, or of
+	// FixedSize's whole search.
 	Wall time.Duration
 	// CacheHit marks a result served from the memoized build cache (or
 	// joined to a concurrent identical build) rather than built fresh.

@@ -60,7 +60,8 @@ go test -race -count=1 -run 'TestChaosKillRestoreMatrix' .
 # kills (mid-append, post-append-pre-ack, post-ack, post-compaction) and
 # the recovered summary is byte-identical to an uninterrupted run; a
 # checkpoint racing the ingest worker saves a true log prefix (the end
-# of the last batch it finished); a snapshot-only directory upgrades
+# of the last batch it finished), and a save in progress blocks neither
+# a cache-hit read nor Stats; a snapshot-only directory upgrades
 # onto a fresh log; a failing log refuses ingest with
 # ErrStorageUnavailable instead of acking; graceful shutdown
 # checkpoints and syncs every tenant.
@@ -80,8 +81,11 @@ GOMAXPROCS=4 go test -race -count=1 ./internal/obs/ ./cmd/mcserve/
 go test -count=1 -run 'TestTrace|TestServiceStatsCheckpointLag' .
 
 # Build cache: singleflight dedup and leader-cancellation handoff under
-# the race detector, bitwise identity of cached results, the FixedSize
-# bracket shrink, sweep consistency, and the serve cache's one entry per
+# the race detector, bitwise identity of cached results and a hit >= 50x
+# faster than the cold build, FixedSize through the cache (an identical
+# repeat runs no build, the answer does not depend on earlier builds,
+# and the report names the winning probe's algorithm and fallback
+# trail), sweep consistency, and the serve cache's one entry per
 # (ε, algorithm), stamped with the champion version it copied: batches
 # of already-seen and interior points keep the hit (with the checkpoint
 # provenance of now), a new champion misses, and every answer, hit or
@@ -91,7 +95,7 @@ go test -count=1 -run 'TestTrace|TestServiceStatsCheckpointLag' .
 # keep hitting with no champion update.
 echo "== build cache (singleflight, handoff, bitwise identity)"
 GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestBuildCache|TestResultCache|TestWithBuildCache|TestFixedSizeBracket|TestCoresetSweep|TestServeCoreset|TestServeBuildCache|TestQuantizeEps' .
+    -run 'TestBuildCache|TestResultCache|TestWithBuildCache|TestFixedSizeRepeatServedFromCache|TestFixedSizeIgnoresCacheHistory|TestFixedSizeReportsWinningProbe|TestCoresetSweep|TestServeCoreset|TestServeBuildCache|TestQuantizeEps' .
 
 # Multi-tenant serving: tenant registry lifecycle, deterministic DRR
 # fair-share scheduling (starvation bound, weighted draining), quota

@@ -499,6 +499,12 @@ type IngestService struct {
 	feedMu sync.RWMutex // closed+queue lifecycle vs concurrent Feed
 	closed bool
 
+	// saveMu serializes checkpoint saves and the log truncation after
+	// each, so saved positions never decrease. ckptMu guards only the
+	// last generation's metadata and the failure count: it is held
+	// briefly after a save, never across one, so the reads that stamp
+	// their provenance from it do not wait for the disk.
+	saveMu       sync.Mutex
 	ckptMu       sync.Mutex
 	lastCkpt     snapshot.Meta
 	lastCkptN    int
@@ -530,6 +536,10 @@ type IngestService struct {
 	// with that error: the batch is durable but never acknowledged, so a
 	// restore may legitimately be AHEAD of the last ack.
 	walCrashHook func() error
+	// saveHook, when set (tests only), runs inside checkpointSave after
+	// the state is copied and before it is saved — the injection point
+	// for a slow or stuck save.
+	saveHook func()
 
 	// restoreRT traces startup restoration (snapshot load + WAL replay)
 	// while NewIngestService runs; the finished trace is recorded into
@@ -1054,33 +1064,41 @@ func (s *IngestService) CheckpointCtx(ctx context.Context) error {
 
 func (s *IngestService) checkpointSave(span *obs.Span) error {
 	start := time.Now()
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
 	// The generation's position is W, read before the state: the state
 	// then holds every point of the log prefix [0, W), plus perhaps the
 	// head of the batch the worker is applying. That head lies in the
 	// log past W, so replay feeds it again as duplicates, which the
-	// champions ignore. Checkpoints run one at a time under ckptMu, so
+	// champions ignore. Checkpoints run one at a time under saveMu, so
 	// saved positions never decrease.
 	w := s.applied.Load()
 	s.sumMu.Lock()
 	st := s.sum.State()
 	s.sumMu.Unlock()
 	st.N = int(w)
+	if s.saveHook != nil {
+		s.saveHook()
+	}
 	meta, err := s.store.Save(st)
 	if err != nil {
+		s.ckptMu.Lock()
 		s.ckptFailures++
+		failures := s.ckptFailures
+		s.ckptMu.Unlock()
 		s.met.ckptFailures.Inc()
 		s.lastErr.Store(&errBox{err: fmt.Errorf("mincore: checkpoint: %w", err)})
 		s.log.Warn("checkpoint save failed",
-			slog.Int("consecutive_failures", s.ckptFailures),
+			slog.Int("consecutive_failures", failures),
 			slog.Any("error", err))
 		return err
 	}
+	s.ckptMu.Lock()
 	older := s.lastCkptN
 	s.lastCkpt = meta
 	s.lastCkptN = st.N
 	s.ckptFailures = 0
+	s.ckptMu.Unlock()
 	span.SetAttr("generation", strconv.FormatUint(meta.Generation, 10))
 	span.SetAttr("points", strconv.Itoa(st.N))
 	s.met.ckptSaves.Inc()
